@@ -86,15 +86,15 @@ if ! GENIE_FAULT_SEED=$ENTROPY_SEED ASAN_OPTIONS=detect_leaks=0 \
   print_flight_dumps
 fi
 
-echo "=== tier-1: lossy-link soak (-O2 + ASan, stop-and-wait and windowed) ==="
+echo "=== tier-1: lossy-link soak (-O2 + ASan, windows 1 and 16) ==="
 # Fourth leg: the reliable-delivery stress harness (ARQ + semantics fallback
 # + transfer watchdogs under link drop/duplicate/reorder faults), run in both
-# build flavors and at both ARQ disciplines — GENIE_RELIABLE_WINDOW=1 is the
-# legacy stop-and-wait path, 16 the selective-repeat sliding window with SACK
-# trains and per-entry retransmit timers. Three pinned seeds gate each
-# (build, window) combination; a failing run leaves a flight-recorder dump in
-# $GENIE_FLIGHT_DIR and its path is printed below. One entropy seed per
-# window widens coverage under ASan without gating.
+# build flavors at two selective-repeat windows — GENIE_RELIABLE_WINDOW=1
+# admits one sequenced frame per channel at a time, 16 pipelines a deep
+# window of SACK-acked frames with per-entry retransmit timers. Three pinned
+# seeds gate each (build, window) combination; a failing run leaves a
+# flight-recorder dump in $GENIE_FLIGHT_DIR and its path is printed below.
+# One entropy seed per window widens coverage under ASan without gating.
 RELIABLE_FILTER='--gtest_filter=ReliableStressTest.SeededFaultSweepsDeliverExactlyOnce'
 for build_dir in build build-asan; do
   for window in 1 16; do
@@ -122,7 +122,7 @@ for window in 1 16; do
   fi
 done
 
-echo "=== tier-1: multi-tenant fabric soak (-O2 + ASan, stop-and-wait and windowed) ==="
+echo "=== tier-1: multi-tenant fabric soak (-O2 + ASan, windows 1 and 16) ==="
 # Fifth leg: the switched-fabric workload soak — mixed closed/open-loop
 # tenants over a lossy star/dumbbell fabric with ARQ, golden payloads, and
 # quiescent VM invariants. Three pinned seeds gate each (build, window)
@@ -176,20 +176,22 @@ for round in 1 2 3; do
 done
 timeout "$STRESS_BUDGET" build-tsan/tests/net_checksum_test
 
-echo "=== tier-1: crash/partition recovery soak (-O2 + ASan, stop-and-wait and windowed) ==="
+echo "=== tier-1: crash/partition recovery soak (-O2 + ASan, windows 1, 4 and 16) ==="
 # Seventh leg: crash-stop chaos — armed node crash/restart cycles plus fabric
 # partition/heal flaps over the multi-tenant workload, gating on exact
 # closed-loop accounting (every transfer completes or fails loudly with
 # kPeerCrashed/kGiveUp), quiescent VM invariants on every node including
 # rebooted ones, and epoch fencing actually firing. Three pinned seeds gate
 # each (build, window) combination — 11030 is the seed that first exposed the
-# TCOW free-while-wired bug, kept as a regression guard. Replay any failure
-# with GENIE_CRASH_SEED=<seed>; a failing seed leaves a flight-recorder dump
+# TCOW free-while-wired bug, kept as a regression guard. Window 4 keeps a
+# shallow window under crash chaos, where a retry could once catch a stale
+# frame of its failed attempt. Replay any failure with
+# GENIE_CRASH_SEED=<seed> GENIE_RELIABLE_WINDOW=<w>; a failing seed leaves a flight-recorder dump
 # in $GENIE_FLIGHT_DIR. One entropy seed per window widens coverage under
 # ASan without gating.
 CRASH_FILTER='--gtest_filter=CrashRecoveryStressTest.CrashAndPartitionSoakKeepsAccountingExactAcrossSeeds'
 for build_dir in build build-asan; do
-  for window in 1 16; do
+  for window in 1 4 16; do
     CRASH_BIN=$build_dir/tests/crash_recovery_stress_test
     for seed in 11005 11030 11117; do
       echo "crash-stress $build_dir window=$window fixed seed $seed"
@@ -203,7 +205,7 @@ for build_dir in build build-asan; do
   done
 done
 CRASH_BIN=build-asan/tests/crash_recovery_stress_test
-for window in 1 16; do
+for window in 1 4 16; do
   ENTROPY_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
   echo "crash-stress entropy seed $ENTROPY_SEED window=$window (replay: GENIE_CRASH_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window $CRASH_BIN $CRASH_FILTER)"
   if ! GENIE_CRASH_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window \

@@ -232,8 +232,9 @@ bool Endpoint::HasPreparedInput() const {
 // Output (Table 2)
 // ---------------------------------------------------------------------------
 
-Task<void> Endpoint::Output(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem) {
-  return OutputTagged(app, va, len, sem, /*tag=*/0);
+Task<void> Endpoint::Output(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem,
+                            std::function<void(IoStatus)> on_complete) {
+  return OutputTagged(app, va, len, sem, /*tag=*/0, std::move(on_complete));
 }
 
 std::shared_ptr<Endpoint::OutputState> Endpoint::MakeOutputState(AddressSpace& app, Vaddr va,
@@ -329,13 +330,18 @@ Task<IoStatus> Endpoint::RunOutputPrepare(std::shared_ptr<OutputState> st) {
 }
 
 Task<void> Endpoint::OutputTagged(AddressSpace& app, Vaddr va, std::uint64_t len,
-                                  Semantics sem, std::uint32_t tag) {
+                                  Semantics sem, std::uint32_t tag,
+                                  std::function<void(IoStatus)> on_complete) {
   if (node_->crashed()) {
     // Kernel I/O state is gone; fail fast without touching the VM.
     ++stats_.failed_outputs;
+    if (on_complete) {
+      on_complete(IoStatus::kPeerCrashed);
+    }
     co_return;
   }
   auto st = MakeOutputState(app, va, len, sem, tag);
+  st->on_complete = std::move(on_complete);
   co_await node_->cpu().Acquire();
   const IoStatus prep = co_await RunOutputPrepare(st);
   node_->cpu().Release();

@@ -149,9 +149,13 @@ class Endpoint {
 
   // Sends [va, va+len) with the given semantics. The task completes when the
   // application regains control (prepare done); transmission and dispose
-  // continue asynchronously. For system-allocated semantics the buffer must
-  // lie in a moved-in region, which is deallocated (moved out) by the send.
-  Task<void> Output(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem);
+  // continue asynchronously. `on_complete` (optional) is invoked exactly once
+  // with the final status, after ARQ has resolved and dispose has run (or at
+  // once if the output failed before transmission). For system-allocated
+  // semantics the buffer must lie in a moved-in region, which is deallocated
+  // (moved out) by the send.
+  Task<void> Output(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem,
+                    std::function<void(IoStatus)> on_complete = nullptr);
 
   // Application-allocated input: preposts a receive into [va, va+len) and
   // completes when the datagram has been delivered (dispose done).
@@ -184,7 +188,7 @@ class Endpoint {
   Task<InputResult> ReceiveNamed(std::uint32_t tag);
   // Sends [va, va+len) to the receiver's named buffer `tag`.
   Task<void> OutputTagged(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem,
-                          std::uint32_t tag);
+                          std::uint32_t tag, std::function<void(IoStatus)> on_complete = nullptr);
 
   // --- Ring API (see the SubmitEntry comment above) ---
   // Enqueues one entry; false when the submit ring is at options().ring_depth.
@@ -249,9 +253,9 @@ class Endpoint {
     std::string xfer;          // trace key: "out#<id>[<semantics>]"
     std::uint64_t flow = 0;    // causal flow id stamping this transfer's events
     SimTime started_at = 0;
-    // Ring-submitted outputs: invoked exactly once with the final status —
-    // at prepare failure, or after dispose (kOk, or kCancelled/kIoError when
-    // delivery failed). Null for the plain Output() path.
+    // Optional: invoked exactly once with the final status — at prepare
+    // failure, or after dispose (kOk, or kCancelled/kIoError/kPeerCrashed
+    // when delivery failed). Set by ring submissions and Output() callers.
     std::function<void(IoStatus)> on_complete;
   };
 

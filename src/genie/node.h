@@ -103,9 +103,9 @@ class Node {
 
   // Turns on the reliable delivery layer (ARQ and/or watchdog) for every
   // endpoint on this node. Off by default; see ReliableOptions. The ARQ
-  // window also configures this node's *receive* side (dedup discipline and
-  // SACK batching), so both peers of a reliable channel should be enabled
-  // with the same window.
+  // window also configures this node's *receive* side (the dedup state's
+  // dead-hole horizon), so both peers of a reliable channel should be
+  // enabled with the same window.
   void EnableReliableDelivery(const ReliableOptions& options) {
     reliable_->Configure(options);
     adapter_.set_arq_window(options.window);

@@ -3,28 +3,22 @@
 //
 // The adapter (src/net) gives at-most-once datagram service: frames can be
 // lost (link faults, no posted buffer), duplicated, reordered, or corrupted.
-// ReliableDelivery turns an output into exactly-once delivery with ARQ:
-// each frame carries a per-channel sequence number, the receiving adapter
-// acks (or nacks on CRC failure), and the sender retransmits on timeout with
-// exponential backoff plus deterministic jitter drawn from a seeded
-// SplitMix64. The receiver's dedup state absorbs the duplicates that
-// retransmission inevitably creates, so the host-visible stream is
-// exactly-once even though the wire is not.
-//
-// Two sender disciplines share that machinery, selected by
-// ReliableOptions::window:
-//   * window == 1 — stop-and-wait: one frame outstanding per transfer, one
-//     ack control cell per frame. This is the original discipline and its
-//     event schedule is bit-for-bit unchanged.
-//   * window  > 1 — selective repeat: up to `window` sequenced frames
-//     outstanding per channel. Each in-flight frame has its own retransmit
-//     timer; the receiver acknowledges with batched SACK cell trains
-//     (cumulative + bitmap, src/net/sack.h) so one control-cell train
-//     resolves many frames; frames are acked out of order and the send
-//     window slides over the acked prefix. A transfer that arrives while
-//     the window is full parks in an admission queue (traced as a
-//     `.window_stall` span). Both peers must be configured with the same
-//     window (Node::EnableReliableDelivery does this).
+// ReliableDelivery turns an output into exactly-once delivery with
+// selective-repeat ARQ: each frame carries a per-channel sequence number,
+// and up to ReliableOptions::window sequenced frames are outstanding per
+// channel. Each in-flight frame has its own retransmit timer (exponential
+// backoff plus deterministic jitter drawn from a seeded SplitMix64). The
+// receiving adapter acknowledges accepted frames with batched SACK cell
+// trains (cumulative + bitmap, src/net/sack.h), so one control-cell train
+// resolves many frames; frames are acked out of order and the send window
+// slides over the acked prefix. Per-seq control cells remain for nacks
+// (CRC failure, no posted buffer) and for re-acks of suppressed duplicates.
+// A transfer that arrives while the window is full parks in an admission
+// queue (traced as a `.window_stall` span); at window 1 that admits one
+// transfer per channel at a time. The receiver's dedup state absorbs the
+// duplicates that retransmission inevitably creates, so the host-visible
+// stream is exactly-once even though the wire is not. Both peers must be
+// configured with the same window (Node::EnableReliableDelivery does this).
 //
 // The watchdog is a periodic scan over registered in-flight transfers. A
 // transfer stuck past the deadline (delayed-completion fault, credit
@@ -64,9 +58,8 @@ namespace genie {
 struct ReliableOptions {
   // ARQ: sequence outputs and retransmit until acked (or give up).
   bool arq = false;
-  // Selective-repeat send window, in frames per channel. 1 = stop-and-wait
-  // (the legacy discipline, goldens unchanged); >1 pipelines up to `window`
-  // sequenced frames per channel with SACK acknowledgement.
+  // Selective-repeat send window: at most `window` sequenced frames in
+  // flight per channel.
   std::uint32_t window = 1;
   std::uint32_t max_retransmits = 8;   // give up after this many retries
   SimTime initial_timeout = 2 * kMillisecond;
@@ -130,7 +123,7 @@ class ReliableDelivery {
     std::uint64_t nacks = 0;
     std::uint64_t giveups = 0;
     std::uint64_t cancelled_transmits = 0;
-    std::uint64_t stale_acks = 0;  // ack/nack with no pending entry
+    std::uint64_t stale_acks = 0;  // ack/nack or SACK train resolving no live entry
     std::uint64_t fallbacks = 0;   // semantics downgrades (endpoint-reported)
     std::uint64_t watchdog_scans = 0;
     std::uint64_t watchdog_cancels = 0;
@@ -190,8 +183,8 @@ class ReliableDelivery {
 
   // --- Crash-stop & epoch fencing ---
   //
-  // Crash-stop of the owning node: every in-flight stop-and-wait round and
-  // window entry resolves as kPeerCrashed, watchdog registrations are wiped,
+  // Crash-stop of the owning node: every in-flight window entry resolves as
+  // kPeerCrashed, watchdog registrations are wiped,
   // and open resync barriers release so parked transfers unwind through the
   // normal failure paths. `epoch` is the node's new incarnation (strictly
   // increasing). Sequence numbers are NOT reset — they are monotonic across
@@ -209,17 +202,6 @@ class ReliableDelivery {
   bool Resyncing(std::uint64_t channel) const;
 
  private:
-  struct PendingAck {
-    explicit PendingAck(Engine& engine) : event(engine) {}
-    enum Outcome : std::uint8_t { kNone, kAcked, kNacked, kTimeout, kCrashed };
-    Outcome outcome = kNone;
-    SimEvent event;
-    TimerSet::Handle timer = 0;
-    // Lets the ack handler mark the transfer resolved the instant the final
-    // ack arrives, before the owning coroutine has been resumed.
-    std::shared_ptr<CancelToken> token;
-  };
-
   struct Watched {
     std::string label;
     std::function<WatchVerdict()> on_expire;
@@ -251,7 +233,7 @@ class ReliableDelivery {
     SimEvent done;                // set on resolution and on retransmit drain
   };
 
-  // Per-channel selective-repeat send window (window > 1 only).
+  // Per-channel selective-repeat send window.
   struct ChannelWindow {
     explicit ChannelWindow(Engine& engine) : open(engine) {}
     std::map<std::uint64_t, std::unique_ptr<WindowEntry>> inflight;  // by seq
@@ -277,13 +259,11 @@ class ReliableDelivery {
     return options;
   }
 
-  void OnAck(std::uint64_t channel, std::uint64_t seq, bool ok);
   SimTime WithJitter(SimTime timeout);
 
-  // --- Selective-repeat window machinery (options_.window > 1) ---
-  Task<TxReport> TransmitWindowed(std::uint64_t channel, IoVec iov, std::uint32_t header,
-                                  std::uint32_t tag, std::string label,
-                                  std::shared_ptr<CancelToken> token, std::uint64_t flow);
+  // --- Selective-repeat window machinery ---
+  // Per-seq ack/nack cell from the peer (nacks and duplicate re-acks).
+  void OnAck(std::uint64_t channel, std::uint64_t seq, bool ok);
   // Batched SACK train from the peer: resolves every covered in-flight entry.
   void OnSack(std::uint64_t channel, const std::vector<SackCell>& cells);
   WindowEntry* FindEntry(std::uint64_t channel, std::uint64_t seq);
@@ -301,7 +281,7 @@ class ReliableDelivery {
   // Fence cell from the peer adapter: the peer rebooted into `peer_epoch`.
   void OnFence(std::uint64_t channel, std::uint32_t peer_epoch);
   void OnResyncAck(std::uint64_t channel, std::uint32_t peer_epoch);
-  // Resolves every in-flight round/entry on `channel` as kCrashed.
+  // Resolves every in-flight entry on `channel` as kCrashed.
   void AbortChannel(std::uint64_t channel);
   void StartResync(std::uint64_t channel);
   void SendResyncAttempt(std::uint64_t channel);
@@ -324,7 +304,6 @@ class ReliableDelivery {
   Stats stats_;
 
   std::map<std::uint64_t, std::uint64_t> next_seq_;  // channel -> last used
-  std::map<std::pair<std::uint64_t, std::uint64_t>, PendingAck*> pending_acks_;
   std::map<std::uint64_t, std::unique_ptr<ChannelWindow>> windows_;
 
   std::uint32_t local_epoch_ = 1;  // this node's incarnation (bumped on crash)

@@ -110,6 +110,8 @@ Workload::Workload(Engine& engine, WorkloadConfig config)
         t.free_slots.push_back(s);
       }
       t.slot_freed = std::make_unique<SimEvent>(engine);
+      t.unresolved_outputs.assign(slots, 0);
+      t.output_resolved = std::make_unique<SimEvent>(engine);
       // Every tenant draws from its own stream, derived from the one
       // workload seed: reordering tenant start-up cannot perturb another
       // tenant's choices.
@@ -208,8 +210,19 @@ Task<InputResult> Workload::TransferOnce(Tenant& t, std::uint64_t salt, std::uin
   std::move(input_driver(*t.rx_ep, *t.rx_app, t.dst_base + slot * slot_bytes, post_len, sem,
                          &result, &done))
       .Detach();
-  std::move(t.tx_ep->Output(*t.tx_app, src, len, sem)).Detach();
+  ++t.unresolved_outputs[slot];
+  std::move(t.tx_ep->Output(*t.tx_app, src, len, sem, [&t, slot](IoStatus) {
+    --t.unresolved_outputs[slot];
+    t.output_resolved->Set();
+  })).Detach();
   co_await done.Wait();
+  // A failed attempt's output can still be parked in window admission or
+  // behind a resync barrier, or be retransmitting; its frame would land in
+  // the retry's posted receive. Hold the retry until that ARQ resolves.
+  while (!result.ok && t.unresolved_outputs[slot] > 0) {
+    t.output_resolved->Reset();
+    co_await t.output_resolved->Wait();
+  }
   co_return result;
 }
 

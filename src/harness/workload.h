@@ -238,6 +238,10 @@ class Workload {
     SplitMix64 rng{0};
     std::deque<std::size_t> free_slots;          // open loop: dst slot pool
     std::unique_ptr<SimEvent> slot_freed;        // open loop backpressure
+    // Outputs issued from each slot whose ARQ has not resolved yet, and the
+    // event set whenever one resolves.
+    std::vector<std::size_t> unresolved_outputs;
+    std::unique_ptr<SimEvent> output_resolved;
     std::size_t in_flight = 0;
     bool done = false;  // coroutine ran to completion (stuck-tenant check)
   };

@@ -239,25 +239,25 @@ class Adapter {
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
   // --- Reliable layer (ARQ) hooks ---
-  // Invoked on *this* (sending) adapter when the peer acks (ok) or nacks a
-  // sequenced frame, one control-cell latency after the peer's decision.
+  // Invoked on *this* (sending) adapter when the peer nacks a sequenced
+  // frame or re-acks (ok) a suppressed duplicate, one control-cell latency
+  // after the peer's decision. Accepted frames are acked by SACK trains.
   void set_ack_handler(std::function<void(std::uint64_t, std::uint64_t, bool)> handler) {
     ack_handler_ = std::move(handler);
   }
 
-  // Configures the receive side for a selective-repeat sender window of `w`
-  // frames. At the default w=1 the adapter acks per frame and dedups with
-  // the legacy seen-set, preserving stop-and-wait behavior exactly. For
-  // w>1 it switches to cumulative+bitmap (SACK) acknowledgement: accepted
-  // frames advance a per-channel cumulative mark, out-of-order accepts are
-  // tracked above it, and one batched SACK cell train per control-cell
-  // latency acknowledges everything at once. Both peers of a reliable
-  // channel must be configured with the same window.
+  // Sequenced frames are acknowledged with cumulative+bitmap (SACK) cell
+  // trains: accepted frames advance a per-channel cumulative mark,
+  // out-of-order accepts are tracked above it, and one batched train per
+  // control-cell latency acknowledges everything at once. `w` is the
+  // sender's selective-repeat window; it sets the dead-hole horizon (a gap
+  // more than 2w below the newest accept is abandoned). Both peers of a
+  // reliable channel must be configured with the same window.
   void set_arq_window(std::uint32_t w) { arq_window_ = w == 0 ? 1 : w; }
   std::uint32_t arq_window() const { return arq_window_; }
 
   // Invoked on *this* (sending) adapter when the peer flushes a batched
-  // SACK train for `channel` (windowed mode only).
+  // SACK train for `channel`.
   void set_sack_handler(std::function<void(std::uint64_t, std::vector<SackCell>)> handler) {
     sack_handler_ = std::move(handler);
   }
@@ -333,7 +333,7 @@ class Adapter {
   std::uint64_t rx_duplicate_frames() const { return rx_duplicate_frames_; }
   std::uint64_t acks_sent() const { return acks_sent_; }
   std::uint64_t nacks_sent() const { return nacks_sent_; }
-  // Windowed mode: batched SACK trains flushed / total cells they carried.
+  // Batched SACK trains flushed / total cells they carried.
   std::uint64_t sack_flushes() const { return sack_flushes_; }
   std::uint64_t sack_cells_sent() const { return sack_cells_sent_; }
   // Injected link faults observed on this adapter's transmit side.
@@ -400,13 +400,12 @@ class Adapter {
   };
 
   // ARQ receive-side duplicate suppression state, one window per channel.
-  // Stop-and-wait (window=1) uses `seen` alone with a bounded prune; the
-  // windowed receiver adds `cum` (every seq <= cum accepted) so `seen` only
-  // holds out-of-order accepts above it and old duplicates are recognized
-  // no matter how far the window has advanced.
+  // Every seq <= `cum` is accepted, so `seen` only holds out-of-order
+  // accepts above it and old duplicates are recognized no matter how far
+  // the window has advanced.
   struct RxDedup {
     std::uint64_t max_seq = 0;
-    std::uint64_t cum = 0;  // windowed mode: highest contiguously-accepted seq
+    std::uint64_t cum = 0;  // highest contiguously-accepted seq
     std::set<std::uint64_t> seen;
     // Highest sender incarnation epoch seen on this channel (0 = none yet).
     // Sequence numbers are monotonic across sender incarnations, so a frame
@@ -468,7 +467,7 @@ class Adapter {
   // True when `cell_epoch` is from a dead incarnation of the channel peer.
   bool StaleCellEpoch(std::uint64_t channel, std::uint32_t cell_epoch) const;
 
-  // Windowed mode: arms (at most one per channel) a batched SACK flush one
+  // Arms (at most one per channel) a batched SACK flush one
   // control-cell latency out; the flush snapshots the dedup state then and
   // delivers one cell train covering every frame accepted meanwhile.
   void ScheduleSackFlush(std::uint64_t channel);

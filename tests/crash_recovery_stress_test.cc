@@ -8,7 +8,7 @@
 //
 // Replay one seed with
 //   GENIE_CRASH_SEED=<seed> ./crash_recovery_stress_test
-// Sweep the selective-repeat window (CI runs {1, 16}) with
+// Sweep the selective-repeat window (CI runs {1, 4, 16}) with
 //   GENIE_RELIABLE_WINDOW=<w> ./crash_recovery_stress_test
 #include <cstdlib>
 #include <sstream>
@@ -43,7 +43,7 @@ std::uint32_t SoakWindow() {
   return window;
 }
 
-WorkloadConfig SoakConfig(std::uint64_t seed) {
+WorkloadConfig SoakConfig(std::uint64_t seed, std::uint32_t window) {
   WorkloadConfig cfg;
   cfg.seed = seed;
   cfg.nodes = 4;
@@ -55,7 +55,7 @@ WorkloadConfig SoakConfig(std::uint64_t seed) {
 
   ReliableOptions rel;
   rel.arq = true;
-  rel.window = SoakWindow();
+  rel.window = window;
   rel.seed = seed ^ 0xa5c3a5c3a5c3a5c3ULL;
   // A real watchdog: inputs orphaned by a peer crash or a partition that
   // outlasts the retry budget must be reclaimed, not parked forever.
@@ -113,10 +113,10 @@ struct SoakOutcome {
   std::vector<std::string> violations;
 };
 
-SoakOutcome RunSoak(std::uint64_t seed) {
+SoakOutcome RunSoak(std::uint64_t seed, std::uint32_t window = SoakWindow()) {
   SoakOutcome out;
   Engine engine;
-  const WorkloadConfig cfg = SoakConfig(seed);
+  const WorkloadConfig cfg = SoakConfig(seed, window);
   Workload wl(engine, cfg);
 
   // One deterministic fault plan shared by every node: background link loss
@@ -257,6 +257,31 @@ TEST(CrashRecoveryStressTest, CrashAndPartitionSoakKeepsAccountingExactAcrossSee
     EXPECT_GT(total.stale_epoch_drops, 0u);
     // Chaos is bounded: most transfers still complete across the sweep.
     EXPECT_GT(total.completed, total.failed);
+  }
+}
+
+// Seeds on which a retry's posted receive caught a stale frame from its
+// failed attempt: a receiver crash aborted the attempt's input while its
+// output was still parked in window admission or behind the resync
+// barrier (or was being retransmitted after a nack), so that output later
+// took a fresh seq under the peer's new epoch and landed in the retry's
+// buffer, and every later frame of the tenant filled the wrong transfer.
+// Windows below 16 exposed it; these pins replay the first failing seed of
+// each, independent of GENIE_RELIABLE_WINDOW.
+TEST(CrashRecoveryStressTest, RetryNeverCatchesFailedAttemptsFrame) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint32_t window;
+  };
+  for (const Pin& pin : {Pin{11001, 1}, Pin{11001, 2}, Pin{11010, 4}, Pin{11029, 8}}) {
+    const SoakOutcome out = RunSoak(pin.seed, pin.window);
+    std::ostringstream all;
+    for (const std::string& v : out.violations) {
+      all << "  " << v << "\n";
+    }
+    EXPECT_TRUE(out.violations.empty())
+        << "seed " << pin.seed << " window " << pin.window << "\n" << all.str();
+    EXPECT_GT(out.crashes, 0u) << "seed " << pin.seed << " window " << pin.window;
   }
 }
 

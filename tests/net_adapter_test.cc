@@ -432,6 +432,11 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
     acks.push_back({ch, seq, ok});
   });
+  std::vector<std::vector<SackCell>> trains;
+  tx->set_sack_handler([&](std::uint64_t ch, std::vector<SackCell> cells) {
+    EXPECT_EQ(ch, 5u);
+    trains.push_back(std::move(cells));
+  });
 
   const IoVec src = MakeBuffer(kPage, 7);
   const IoVec dst1 = MakeBuffer(kPage, 0);
@@ -447,14 +452,17 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   ctl->seq = 1;
   std::move(tx->TransmitFrame(5, src, 0, 0, ctl)).Detach();
   eng_.Run();
+  // The accept is acknowledged by a SACK train whose cumulative mark covers
+  // seq 1; no per-seq ack cell goes out.
   EXPECT_EQ(completions, 1);
-  ASSERT_EQ(acks.size(), 1u);
-  EXPECT_TRUE(acks[0].ok);
-  EXPECT_EQ(acks[0].seq, 1u);
+  EXPECT_TRUE(acks.empty());
+  ASSERT_EQ(trains.size(), 1u);
+  ASSERT_FALSE(trains[0].empty());
+  EXPECT_EQ(trains[0].back().cum, 1u);
 
   // Retransmission of the same sequence number (as after a lost ack): the
   // receive side suppresses it without consuming the second posted buffer,
-  // and re-acks so the sender can stop.
+  // and re-acks it with a per-seq cell so the sender can stop.
   auto ctl2 = std::make_shared<TxControl>();
   ctl2->seq = 1;
   ctl2->skip_credit = true;
@@ -463,8 +471,12 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(rx->rx_duplicate_frames(), 1u);
   EXPECT_EQ(rx->posted_receives(5), 1u);
-  ASSERT_EQ(acks.size(), 2u);
-  EXPECT_TRUE(acks[1].ok);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_TRUE(acks[0].ok);
+  EXPECT_EQ(acks[0].seq, 1u);
+  EXPECT_EQ(trains.size(), 1u);
+  // One SACK cell plus the re-ack.
+  EXPECT_EQ(rx->sack_cells_sent(), 1u);
   EXPECT_EQ(rx->acks_sent(), 2u);
 }
 
@@ -486,6 +498,9 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
     acks.push_back({ch, seq, ok});
   });
+  std::vector<std::vector<SackCell>> trains;
+  tx->set_sack_handler(
+      [&](std::uint64_t, std::vector<SackCell> cells) { trains.push_back(std::move(cells)); });
 
   const IoVec src = MakeBuffer(kPage, 3);
   const IoVec dst = MakeBuffer(kPage, 0);
@@ -497,16 +512,19 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   std::move(tx->TransmitFrame(2, src, 0, 0, ctl)).Detach();
   eng_.Run();
   // Link layer owns recovery: the host never sees the damaged frame, the
-  // consumed posted buffer is back at the front of the queue, and a nack
-  // went out.
+  // consumed posted buffer is back at the front of the queue, and a per-seq
+  // nack went out (no SACK train: nothing was accepted).
   EXPECT_FALSE(completion.has_value());
   EXPECT_EQ(rx->rx_crc_errors(), 1u);
   EXPECT_EQ(rx->posted_receives(2), 1u);
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_FALSE(acks[0].ok);
+  EXPECT_EQ(acks[0].seq, 1u);
   EXPECT_EQ(rx->nacks_sent(), 1u);
+  EXPECT_TRUE(trains.empty());
 
-  // Retransmission (same seq, clean wire) lands in the restored buffer.
+  // Retransmission (same seq, clean wire) lands in the restored buffer and
+  // is acknowledged by a SACK train.
   auto ctl2 = std::make_shared<TxControl>();
   ctl2->seq = 1;
   ctl2->skip_credit = true;
@@ -515,8 +533,10 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   ASSERT_TRUE(completion.has_value());
   EXPECT_TRUE(completion->crc_ok);
   EXPECT_EQ(completion->seq, 1u);
-  ASSERT_EQ(acks.size(), 2u);
-  EXPECT_TRUE(acks[1].ok);
+  EXPECT_EQ(acks.size(), 1u);
+  ASSERT_EQ(trains.size(), 1u);
+  ASSERT_FALSE(trains[0].empty());
+  EXPECT_EQ(trains[0].back().cum, 1u);
 
   std::vector<std::byte> sent(kPage);
   std::vector<std::byte> got(kPage);
@@ -741,12 +761,11 @@ TEST_F(AdapterTest, AbortCreditWaitBreaksCreditDeadlock) {
 }
 
 TEST_F(AdapterTest, WideWindowDuplicateStillSuppressed) {
-  // Regression: the legacy dedup pruned its seen-set below max_seq - 128
-  // regardless of the configured window, so with a window wider than 128 a
-  // laggard retransmission of an old frame was re-delivered to the host.
-  // The windowed receiver keeps a cumulative mark instead: anything at or
-  // below it is recognized as a duplicate no matter how far the window has
-  // advanced.
+  // Regression: a dedup that prunes its seen-set below max_seq - 128
+  // regardless of the configured window re-delivers a laggard
+  // retransmission of an old frame once the window is wider than 128. The
+  // receiver keeps a cumulative mark instead: anything at or below it is
+  // recognized as a duplicate no matter how far the window has advanced.
   Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
@@ -759,7 +778,7 @@ TEST_F(AdapterTest, WideWindowDuplicateStillSuppressed) {
   const IoVec dst = MakeBuffer(kPage, 0);
   int completions = 0;
   auto note = [&](const RxCompletion&) { ++completions; };
-  // Advance the receive window far past the legacy 128-deep prune horizon.
+  // Advance the receive window far past a 128-deep prune horizon.
   constexpr std::uint64_t kFrames = 200;
   for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
     rx->PostReceive(3, Adapter::PostedReceive{dst, note});
@@ -785,9 +804,9 @@ TEST_F(AdapterTest, WideWindowDuplicateStillSuppressed) {
 }
 
 TEST_F(AdapterTest, WindowedReceiverBatchesSackAcks) {
-  // With a window configured, per-frame ack cells are replaced by batched
-  // SACK trains: frames accepted within one control-cell latency of each
-  // other share a single flush.
+  // Accepted frames are acknowledged by batched SACK trains: frames
+  // accepted within one control-cell latency of each other share a single
+  // flush.
   Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);

@@ -251,7 +251,7 @@ ScenarioResult RunWindowedScenario(std::uint32_t window, bool lossy) {
 
 TEST(CriticalPathTest, WindowedStageTotalsSumExactlyToMakespan) {
   // The partition property holds under pipelined acks, SACK trains, window
-  // stalls, and per-entry retransmissions just as under stop-and-wait.
+  // stalls, and per-entry retransmissions just as with one frame in flight.
   for (const bool lossy : {false, true}) {
     for (const std::uint32_t window : {2u, 8u}) {
       const ScenarioResult run = RunWindowedScenario(window, lossy);

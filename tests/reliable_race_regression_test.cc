@@ -36,7 +36,7 @@ const SimTime kCtl = 5 * kMicrosecond;  // control-cell (ack/credit) latency
 const SimTime kHold = 100 * kMicrosecond;  // reorder fault's redelivery delay
 
 // Two adapters wired bidirectionally, as in reliable_backoff_test; the
-// receive side mirrors the sender's window so windowed runs use SACK trains.
+// receive side mirrors the sender's window (its dead-hole horizon).
 class RaceRig {
  public:
   RaceRig()
@@ -186,10 +186,10 @@ TEST(ReliableRaceRegressionTest, WindowedSackRacingGiveUpCountsOneDelivery) {
   SimTime done = -1;
   const auto report = rig.Transmit(1, src, &done);
 
-  // Same collision as stop-and-wait, through the SACK path: the entry timer
-  // (armed at kWire) marks the entry kGiveUp, then the SACK train from the
-  // late delivery — same instant, inserted later — overrides it to kAcked
-  // before the owning coroutine consumes the verdict.
+  // Same collision with a wider window: the entry timer (armed at kWire)
+  // marks the entry kGiveUp, then the SACK train from the late delivery —
+  // same instant, inserted later — overrides it to kAcked before the owning
+  // coroutine consumes the verdict.
   EXPECT_EQ(done, kWire + kHold + kCtl);
   EXPECT_EQ(report.outcome, ReliableDelivery::TxOutcome::kDelivered);
   EXPECT_EQ(report.attempts, 1u);

@@ -1,7 +1,8 @@
 // Selective-repeat windowed ARQ tests: pipelined delivery, admission stalls
 // when the window fills, per-entry retransmit timers under loss, nack fast
 // retransmit, bounded give-up, out-of-order SACK resolution, cancellation
-// under a partially-acked window, and schedule determinism. The rig mirrors
+// under a partially-acked window, window 1 as a single-slot window, and
+// schedule determinism. The rig mirrors
 // reliable_backoff_test's: two adapters wired bidirectionally, the receive
 // side configured for the same window as the sender.
 #include "src/genie/reliable.h"
@@ -16,6 +17,7 @@
 #include "src/net/iovec_io.h"
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
+#include "src/sim/trace.h"
 
 namespace genie {
 namespace {
@@ -155,8 +157,8 @@ TEST(ReliableWindowTest, PipelinesFramesBackToBack) {
   EXPECT_EQ(rig.rel_.stats().retransmits, 0u);
   EXPECT_EQ(rig.rel_.stats().giveups, 0u);
   // Pipelined: all four frames clock out back to back, and the last SACK
-  // flush lands one control-cell latency after the last frame. A
-  // stop-and-wait sender would have taken 4 * (kWire + kCtl).
+  // flush lands one control-cell latency after the last frame. A window-1
+  // sender would have taken 4 * (kWire + kCtl).
   EXPECT_LE(rig.last_done_, 4 * kWire + 2 * kCtl);
   // Every resolution came from a SACK train (page frames are wider than the
   // 5 us accumulation window, so here each accept gets its own flush; the
@@ -178,7 +180,7 @@ TEST(ReliableWindowTest, AdmissionStallsWhenWindowFull) {
   EXPECT_EQ(rig.rel_.stats().sequenced_frames, 5u);
   // With a window of 2 the fifth frame cannot leave before the third's ack:
   // the total run is longer than the fully-pipelined case but far shorter
-  // than stop-and-wait.
+  // than at window 1.
   EXPECT_GT(rig.last_done_, 5 * kWire);
   EXPECT_LT(rig.last_done_, 5 * (kWire + 2 * kCtl));
 }
@@ -325,34 +327,61 @@ TEST(ReliableWindowTest, CancellationUnderPartiallyAckedWindow) {
   EXPECT_LT(rig.eng_.now(), 2 * kMillisecond);
 }
 
-TEST(ReliableWindowTest, WindowOneMatchesStopAndWaitSchedule) {
-  // window=1 must take the legacy stop-and-wait path: identical event
-  // digests, identical stats, for the same scenario.
-  auto run = [](std::uint32_t window, std::uint64_t* digest) {
+TEST(ReliableWindowTest, WindowOneAdmitsOneFramePerChannelAtATime) {
+  // Window 1 is selective repeat with a single slot: three concurrent
+  // transfers on one channel are admitted one at a time, and each accept is
+  // acknowledged by a SACK train.
+  auto run = [](std::uint64_t* digest) {
     WindowRig rig;
-    ReliableOptions opts;
-    opts.arq = true;
-    opts.window = window;
-    opts.initial_timeout = 1 * kMillisecond;
-    opts.jitter_frac = 0.25;
-    opts.seed = 11;
-    rig.Configure(opts);
-    FaultRule rule;
-    rule.site = FaultSite::kLinkDrop;
-    rule.probability = 0.4;
-    rig.plan_.AddRule(rule);
+    TraceLog trace;
+    rig.tx_.set_trace(&trace);
+    rig.rel_.set_trace(&trace);
+    rig.Configure(WindowedNoJitter(1));
     std::vector<std::uint64_t> rx_seqs;
     const auto reports = rig.TransmitBurst(1, 3, &rx_seqs);
     for (const auto& r : reports) {
       EXPECT_EQ(r.outcome, ReliableDelivery::TxOutcome::kDelivered);
+      EXPECT_EQ(r.attempts, 1u);
     }
+    EXPECT_EQ(rx_seqs, (std::vector<std::uint64_t>{1, 2, 3}));
+
+    // One sequenced frame in flight at a time: each frame leaves only after
+    // its predecessor's ack arrived, and the two later transfers each
+    // recorded a window stall.
+    std::vector<const TraceLog::Event*> wire;
+    std::vector<const TraceLog::Event*> ack_wait;
+    int stalls = 0;
+    for (const TraceLog::Event& e : trace.events()) {
+      if (e.track == "tx.wire" && e.name.starts_with("frame ")) {
+        wire.push_back(&e);
+      } else if (e.name.ends_with(".ack_wait")) {
+        ack_wait.push_back(&e);
+      } else if (e.name.ends_with(".window_stall")) {
+        ++stalls;
+      }
+    }
+    EXPECT_EQ(stalls, 2);
+    EXPECT_EQ(wire.size(), 3u);
+    EXPECT_EQ(ack_wait.size(), 3u);
+    for (std::size_t i = 1; i < std::min(wire.size(), ack_wait.size()); ++i) {
+      EXPECT_GE(wire[i]->start, ack_wait[i - 1]->end) << "frame " << i;
+    }
+    EXPECT_EQ(rig.last_done_, 3 * (kWire + kCtl));
+
+    // Every accept was acknowledged by a SACK train; no per-seq ok-ack or
+    // nack cell went out.
+    EXPECT_EQ(rig.rx_.sack_flushes(), 3u);
+    EXPECT_EQ(rig.rx_.acks_sent(), rig.rx_.sack_cells_sent());
+    EXPECT_EQ(rig.rx_.nacks_sent(), 0u);
+    EXPECT_EQ(rig.rel_.stats().acks, 3u);
+    EXPECT_EQ(rig.rel_.stats().stale_acks, 0u);
     *digest = rig.eng_.event_digest();
   };
-  std::uint64_t w1_a = 0;
-  std::uint64_t w1_b = 0;
-  run(1, &w1_a);
-  run(1, &w1_b);
-  EXPECT_EQ(w1_a, w1_b);
+  std::uint64_t digest_a = 0;
+  std::uint64_t digest_b = 0;
+  run(&digest_a);
+  run(&digest_b);
+  EXPECT_EQ(digest_a, digest_b);
 }
 
 }  // namespace
