@@ -42,11 +42,16 @@ if ! ctest --test-dir build --output-on-failure -j "$JOBS"; then
   print_flight_dumps
   exit 1
 fi
-# The critical-path analyzer's byte-identical-JSON contract is part of the
-# trace pipeline's gate: run it by name so a filter change can never silently
-# deselect it.
+# The critical-path analyzer's byte-identical-JSON contract, and the
+# attribution of link queueing to fabric_wait, are part of the trace
+# pipeline's gate: run them by name so a filter change can never silently
+# deselect them.
+CRITICAL_PATH_GATE='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns'
+CRITICAL_PATH_GATE+=':CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
+CRITICAL_PATH_GATE+=':CriticalPathTest.WindowedJsonIsByteIdenticalAcrossRuns'
+CRITICAL_PATH_GATE+=':CriticalPathTest.PointToPointLinkQueueingChargesToFabricWait'
 build/tests/obs_critical_path_test \
-  --gtest_filter='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns:CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
+  --gtest_filter="$CRITICAL_PATH_GATE"
 
 echo "=== tier-1: ASan+UBSan build ==="
 cmake -B build-asan -S . -DGENIE_ASAN=ON >/dev/null
@@ -59,7 +64,7 @@ cmake --build build-asan -j "$JOBS"
 # its deterministic layers already ran in the optimized leg.
 ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -LE bench
 ASAN_OPTIONS=detect_leaks=0 build-asan/tests/obs_critical_path_test \
-  --gtest_filter='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns:CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
+  --gtest_filter="$CRITICAL_PATH_GATE"
 
 echo "=== tier-1: fault-stress replay (ASan) ==="
 # Third leg: the fault-injection stress harness under ASan. Three pinned

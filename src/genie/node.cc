@@ -284,10 +284,6 @@ void Node::RegisterOutboardHandler(std::uint64_t channel,
   outboard_handlers_[channel] = std::move(handler);
 }
 
-Network::Network(Engine& engine, Node& a, Node& b)
-    : link_ab_(engine, a.name() + "->" + b.name()), link_ba_(engine, b.name() + "->" + a.name()) {
-  a.adapter().ConnectTo(&b.adapter(), &link_ab_);
-  b.adapter().ConnectTo(&a.adapter(), &link_ba_);
-}
+Network::Network(Engine& engine, Node& a, Node& b) : link_(engine, a.adapter(), b.adapter()) {}
 
 }  // namespace genie

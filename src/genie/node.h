@@ -14,6 +14,7 @@
 #include "src/cost/cost_model.h"
 #include "src/genie/reliable.h"
 #include "src/net/adapter.h"
+#include "src/net/fabric.h"
 #include "src/obs/metrics.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
@@ -213,14 +214,14 @@ class Node {
   std::function<void(std::uint32_t)> restart_observer_;
 };
 
-// Connects two nodes with one ATM virtual circuit in each direction.
+// Connects two nodes with one ATM virtual circuit in each direction: a
+// PointToPointLink between their adapters.
 class Network {
  public:
   Network(Engine& engine, Node& a, Node& b);
 
  private:
-  Resource link_ab_;
-  Resource link_ba_;
+  PointToPointLink link_;
 };
 
 }  // namespace genie

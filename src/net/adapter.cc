@@ -21,6 +21,31 @@ std::string_view InputBufferingName(InputBuffering b) {
   return "?";
 }
 
+namespace {
+
+// Awaits one link of a transmit path: granted synchronously when the link is
+// idle, otherwise parked on the link's per-channel DRR queue. Resumes false
+// when the link is (or goes) down under the waiter: the frame is dropped.
+// Awaited in a loop by each caller, so acquiring a path costs no coroutine
+// frame of its own.
+struct LinkAwaiter {
+  SwitchLink& link;
+  std::uint64_t channel;
+  std::uint64_t bytes;
+  bool dead = false;  // set by the link when it goes down under the waiter
+  bool await_ready() {
+    if (link.down()) {
+      dead = true;
+      return true;
+    }
+    return link.TryAcquire(channel, bytes);
+  }
+  void await_suspend(std::coroutine_handle<> h) { link.Enqueue(channel, bytes, h, &dead); }
+  bool await_resume() const noexcept { return !dead; }
+};
+
+}  // namespace
+
 Adapter::Adapter(Engine& engine, PhysicalMemory& pm, const CostModel& cost, std::string name,
                  Config config)
     : engine_(engine), pm_(pm), name_(std::move(name)), config_(config) {
@@ -32,52 +57,15 @@ Adapter::Adapter(Engine& engine, PhysicalMemory& pm, const CostModel& cost, std:
   }
 }
 
-void Adapter::ConnectTo(Adapter* peer, Resource* link) {
-  GENIE_CHECK(peer != nullptr && link != nullptr);
-  GENIE_CHECK(!fabric_connected()) << "adapter " << name_ << " already on a fabric";
-  peer_ = peer;
-  tx_link_ = link;
-}
-
-void Adapter::ConnectFabric(RouteFn route, ControlPeerFn control_peer) {
+void Adapter::Connect(RouteFn route, ControlPeerFn control_peer) {
   GENIE_CHECK(route != nullptr && control_peer != nullptr);
-  GENIE_CHECK(peer_ == nullptr) << "adapter " << name_ << " already wired point-to-point";
+  GENIE_CHECK(!route_fn_) << "adapter " << name_ << " already connected";
   route_fn_ = std::move(route);
   control_peer_fn_ = std::move(control_peer);
 }
 
-Task<bool> Adapter::AcquirePath(const TxPath& path, std::uint64_t channel,
-                                std::uint64_t bytes) {
-  struct LinkAwaiter {
-    SwitchLink& link;
-    std::uint64_t channel;
-    std::uint64_t bytes;
-    bool dead = false;  // set by the link when it goes down under the waiter
-    bool await_ready() {
-      if (link.down()) {
-        dead = true;
-        return true;
-      }
-      return link.TryAcquire(channel, bytes);
-    }
-    void await_suspend(std::coroutine_handle<> h) { link.Enqueue(channel, bytes, h, &dead); }
-    bool await_resume() const noexcept { return !dead; }
-  };
-  for (int i = 0; i < path.nlinks; ++i) {
-    const bool granted = co_await LinkAwaiter{*path.links[i], channel, bytes};
-    if (!granted) {
-      // Link down: unwind the partial hold; the frame is dropped.
-      for (int j = i; j-- > 0;) {
-        path.links[j]->Release();
-      }
-      co_return false;
-    }
-  }
-  co_return true;
-}
-
-void Adapter::ReleasePath(const TxPath& path) {
-  for (int i = path.nlinks; i-- > 0;) {
+void Adapter::ReleaseLinks(const TxPath& path, int held) {
+  for (int i = held; i-- > 0;) {
     path.links[i]->Release();
   }
 }
@@ -94,11 +82,11 @@ bool Adapter::PathDown(const TxPath& path) {
 Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_t header,
                                   std::uint32_t tag, std::shared_ptr<TxControl> ctl,
                                   std::uint64_t flow) {
-  GENIE_CHECK(peer_ != nullptr || fabric_connected()) << "adapter " << name_ << " not connected";
-  const TxPath* path = route_fn_ ? route_fn_(channel) : nullptr;
-  GENIE_CHECK(!fabric_connected() || path != nullptr)
-      << "adapter " << name_ << " has no fabric route for channel " << channel;
-  Adapter* const dst = path != nullptr ? path->dst : peer_;
+  GENIE_CHECK(route_fn_) << "adapter " << name_ << " not connected";
+  const TxPath* const route = route_fn_(channel);
+  GENIE_CHECK(route != nullptr) << "adapter " << name_ << " has no route for channel " << channel;
+  const TxPath path = *route;
+  Adapter* const dst = path.dst;
   const std::uint64_t total = iov.total_bytes();
   GENIE_CHECK_GT(total, 0u);
   GENIE_CHECK_LE(total, kMaxAal5Payload);
@@ -122,26 +110,30 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
   // Hold the whole transmit path for the whole frame (AAL5 frames on one VC
   // are not interleaved, and exclusive egress preserves the destination's
   // one-frame-at-a-time receive invariant across N senders).
-  if (path != nullptr) {
-    const SimTime arb_start = engine_.now();
-    const bool acquired = co_await AcquirePath(*path, channel, total);
-    if (!acquired) {
-      // A path link is (or went) down: the frame is dropped at the switch,
-      // consuming no wire time. A sequenced frame's loss is recovered by the
-      // ARQ retransmit timer once the partition heals.
-      ++link_down_drops_;
-      if (trace_ != nullptr) {
-        trace_->Instant(name_ + ".wire", "link_down_drop seq " + std::to_string(seq), "net",
-                        engine_.now(), flow);
-      }
-      co_return;
+  const SimTime arb_start = engine_.now();
+  int held = 0;
+  for (; held < path.nlinks; ++held) {
+    // Bound to a local: GCC 12 miscompiles a co_await inside a loop condition.
+    const bool granted = co_await LinkAwaiter{*path.links[held], channel, total};
+    if (!granted) {
+      break;
     }
-    if (trace_ != nullptr && engine_.now() > arb_start) {
-      // Only an arbitration wait that actually suspended gets a span.
-      trace_->Span(name_ + ".wire", "fabric_wait", "net", arb_start, engine_.now(), flow);
+  }
+  if (held < path.nlinks) {
+    // A path link is (or went) down: the frame is dropped at the switch,
+    // consuming no wire time. A sequenced frame's loss is recovered by the
+    // ARQ retransmit timer once the partition heals.
+    ReleaseLinks(path, held);
+    ++link_down_drops_;
+    if (trace_ != nullptr) {
+      trace_->Instant(name_ + ".wire", "link_down_drop seq " + std::to_string(seq), "net",
+                      engine_.now(), flow);
     }
-  } else {
-    co_await tx_link_->Acquire();
+    co_return;
+  }
+  if (trace_ != nullptr && engine_.now() > arb_start) {
+    // Only an arbitration wait that actually suspended gets a span.
+    trace_->Span(name_ + ".wire", "fabric_wait", "net", arb_start, engine_.now(), flow);
   }
   // Injected short transfer: the device stops after `arg` bytes (at least
   // one; default half the frame), as when cell loss truncates an AAL5 frame.
@@ -182,7 +174,6 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
   }
   HeldFrame snapshot;
   if (need_snapshot) {
-    snapshot.dst = dst;
     snapshot.path = path;
     snapshot.channel = channel;
     snapshot.header = header;
@@ -217,7 +208,7 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
       dst->DeliverChunk(std::span<const std::byte>(chunk.data(), n), is_last);
     }
     sent += n;
-    if (path != nullptr && sent < wire_bytes && PathDown(*path)) {
+    if (sent < wire_bytes && PathDown(path)) {
       // A path link died under the streaming frame: the carrier is gone, so
       // the tail never arrives. The delivered prefix fails the AAL5 CRC and
       // takes the normal damaged-frame recovery (nack + retransmit).
@@ -289,17 +280,12 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
     trace_->Span(name_ + ".wire", "frame " + std::to_string(total) + "B", "net", wire_start,
                  engine_.now(), flow);
   }
-  if (path != nullptr) {
-    ReleasePath(*path);
-  } else {
-    tx_link_->Release();
-  }
+  ReleaseLinks(path, path.nlinks);
   ++frames_sent_;
 }
 
 void Adapter::DeliverSnapshot(const HeldFrame& frame) {
-  Adapter* const dst = frame.dst != nullptr ? frame.dst : peer_;
-  GENIE_CHECK(dst != nullptr);
+  Adapter* const dst = frame.path.dst;
   dst->BeginRxFrame(frame.channel, frame.header, frame.tag, frame.seq, frame.flow,
                     frame.src_epoch, frame.dst_epoch);
   std::size_t done = 0;
@@ -321,7 +307,7 @@ void Adapter::DeliverHeldFramesLocked(Adapter* dst) {
   while (!held_.empty()) {
     HeldFrame frame = std::move(held_.front());
     held_.pop_front();
-    if ((frame.dst != nullptr ? frame.dst : peer_) != dst) {
+    if (frame.path.dst != dst) {
       keep.push_back(std::move(frame));
       continue;
     }
@@ -338,48 +324,48 @@ Task<void> Adapter::FlushHeldFrames() {
   while (!held_.empty()) {
     // Each flush round acquires the front frame's own transmit path (held
     // frames may target different destinations on a fabric) and drains every
-    // held frame sharing that destination. Legacy point-to-point wiring
-    // degenerates to the old behavior: one uncontended acquire, full drain.
-    const TxPath* const path = held_.front().path;
-    Adapter* const dst = held_.front().dst != nullptr ? held_.front().dst : peer_;
-    if (path != nullptr) {
-      const bool acquired =
-          co_await AcquirePath(*path, held_.front().channel, held_.front().bytes.size());
-      if (!acquired) {
-        // The replay path is down: every held frame bound for this
-        // destination is dropped (held-frame drop on link down).
-        std::deque<HeldFrame> keep;
-        while (!held_.empty()) {
-          HeldFrame frame = std::move(held_.front());
-          held_.pop_front();
-          if (frame.dst != dst) {
-            keep.push_back(std::move(frame));
-            continue;
-          }
-          ++link_down_drops_;
-          if (trace_ != nullptr) {
-            trace_->Instant(name_ + ".wire",
-                            "held_drop_link_down seq " + std::to_string(frame.seq), "net",
-                            engine_.now(), frame.flow);
-          }
-        }
-        held_ = std::move(keep);
+    // held frame sharing that destination. The path is copied: the drain
+    // pops the front frame.
+    const TxPath path = held_.front().path;
+    const std::uint64_t channel = held_.front().channel;
+    const std::uint64_t bytes = held_.front().bytes.size();
+    int held = 0;
+    for (; held < path.nlinks; ++held) {
+      const bool granted = co_await LinkAwaiter{*path.links[held], channel, bytes};
+      if (!granted) {
+        break;
+      }
+    }
+    if (held == path.nlinks) {
+      DeliverHeldFramesLocked(path.dst);
+      ReleaseLinks(path, held);
+      continue;
+    }
+    // The replay path is down: every held frame bound for this destination
+    // is dropped (held-frame drop on link down).
+    ReleaseLinks(path, held);
+    std::deque<HeldFrame> keep;
+    while (!held_.empty()) {
+      HeldFrame frame = std::move(held_.front());
+      held_.pop_front();
+      if (frame.path.dst != path.dst) {
+        keep.push_back(std::move(frame));
         continue;
       }
-      DeliverHeldFramesLocked(dst);
-      ReleasePath(*path);
-    } else {
-      co_await tx_link_->Acquire();
-      DeliverHeldFramesLocked(dst);
-      tx_link_->Release();
+      ++link_down_drops_;
+      if (trace_ != nullptr) {
+        trace_->Instant(name_ + ".wire", "held_drop_link_down seq " + std::to_string(frame.seq),
+                        "net", engine_.now(), frame.flow);
+      }
     }
+    held_ = std::move(keep);
   }
 }
 
 void Adapter::SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint64_t flow) {
   Adapter* const peer = ControlPeer(channel);
   if (peer == nullptr) {
-    return;  // Unidirectional test wiring: no control-cell return path.
+    return;  // Channel closed (cells may still be in flight): no return path.
   }
   if (ok) {
     ++acks_sent_;
@@ -506,7 +492,7 @@ void Adapter::OnResyncAckCell(std::uint64_t channel, std::uint32_t peer_epoch) {
 
 void Adapter::ScheduleSackFlush(std::uint64_t channel) {
   if (ControlPeer(channel) == nullptr) {
-    return;  // Unidirectional test wiring: no control-cell return path.
+    return;  // Channel closed (cells may still be in flight): no return path.
   }
   bool& pending = sack_flush_pending_[channel];
   if (pending) {

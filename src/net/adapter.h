@@ -46,13 +46,15 @@ namespace genie {
 class Adapter;
 class SwitchLink;
 
-// A resolved transmit route through the switched fabric: the destination
-// adapter plus the ordered chain of arbitrated links (source uplink, an
-// optional dumbbell trunk, destination egress) a frame must hold while it
-// streams. Links are always acquired in array order and released in reverse;
-// the global order uplink < trunk < egress makes the hold-while-waiting
-// discipline deadlock-free. Owned by the Fabric's channel table — the
-// pointer stays valid until the channel is closed.
+// A resolved transmit route: the destination adapter plus the ordered chain
+// of arbitrated links a frame must hold while it streams — one dedicated
+// wire for point-to-point wiring; on a switched fabric the source uplink, an
+// optional dumbbell trunk and the destination egress. Links are always
+// acquired in array order and released in reverse; the global order uplink <
+// trunk < egress makes the hold-while-waiting discipline deadlock-free.
+// Copied by value wherever it outlives the route lookup: the links live as
+// long as the Fabric or PointToPointLink that owns them, but a fabric's
+// route table entry dies with CloseChannel.
 struct TxPath {
   Adapter* dst = nullptr;
   std::array<SwitchLink*, 3> links{};
@@ -159,21 +161,15 @@ class Adapter {
   InputBuffering rx_buffering() const { return config_.rx_buffering; }
   BufferPool* pool() { return pool_.get(); }
 
-  // Wires this adapter's transmit side to `peer`'s receive side over `link`
-  // (a Resource modelling the ATM virtual circuit in this direction).
-  void ConnectTo(Adapter* peer, Resource* link);
-
-  // --- Switched-fabric wiring (src/net/fabric.h) ---
+  // --- Wiring (src/net/fabric.h: PointToPointLink or Fabric) ---
   // `route` resolves the transmit path for a channel (nullptr = unrouted,
-  // which aborts the transmit: frames on a fabric never guess their
-  // destination); `control_peer` resolves the adapter that acks, SACKs and
-  // credit cells for a channel return to (nullptr = no return path yet).
-  // Fabric wiring replaces the point-to-point peer/link pair; a fabric-
-  // attached adapter reaches a different destination per channel.
+  // which aborts the transmit: frames never guess their destination);
+  // `control_peer` resolves the adapter that acks, SACKs and credit cells
+  // for a channel return to (nullptr = no return path, e.g. a closed fabric
+  // channel). Called once per adapter.
   using RouteFn = std::function<const TxPath*(std::uint64_t channel)>;
   using ControlPeerFn = std::function<Adapter*(std::uint64_t channel)>;
-  void ConnectFabric(RouteFn route, ControlPeerFn control_peer);
-  bool fabric_connected() const { return static_cast<bool>(route_fn_); }
+  void Connect(RouteFn route, ControlPeerFn control_peer);
 
   // Transmits one AAL5 frame gathering payload from `iov`. Completes when
   // the last byte has left the wire (transmit-complete interrupt time).
@@ -381,10 +377,10 @@ class Adapter {
   };
 
   // A frame captured byte-for-byte at its original DMA instants, awaiting a
-  // deferred (reordered) or repeated (duplicated) delivery. `dst`/`path`
-  // record the route resolved at capture time: a late delivery must reach
-  // the same destination over the same links (point-to-point frames carry
-  // path == nullptr and fall back to the peer/tx-link pair).
+  // deferred (reordered) or repeated (duplicated) delivery. `path` records
+  // the route resolved at capture time, by value: a late delivery must reach
+  // the same destination over the same links even if the channel has been
+  // closed meanwhile.
   struct HeldFrame {
     std::uint64_t channel = 0;
     std::uint32_t header = 0;
@@ -394,8 +390,7 @@ class Adapter {
     std::uint32_t src_epoch = 0;
     std::uint32_t dst_epoch = 0;
     bool crc_ok = true;
-    Adapter* dst = nullptr;
-    const TxPath* path = nullptr;
+    TxPath path;
     std::vector<std::byte> bytes;
   };
 
@@ -436,21 +431,15 @@ class Adapter {
   void DeliverHeldFramesLocked(Adapter* dst);
   Task<void> FlushHeldFrames();
 
-  // Fabric path acquisition: holds `path`'s links in array order (the
-  // deadlock-free global order), releases in reverse. `channel`/`bytes`
-  // feed the per-channel DRR arbiter at each hop. Returns false — with
-  // every partially-acquired link released — when a link on the path went
-  // (or was) down: the frame is dropped, no wire time elapses.
-  Task<bool> AcquirePath(const TxPath& path, std::uint64_t channel, std::uint64_t bytes);
-  void ReleasePath(const TxPath& path);
+  // Releases the first `held` links of `path`, in reverse acquisition order.
+  static void ReleaseLinks(const TxPath& path, int held);
   // True when any link on the path is down (partition in effect).
   static bool PathDown(const TxPath& path);
 
-  // The adapter acks / SACK trains / credit cells for `channel` return to.
-  // Point-to-point wiring: the single peer. Fabric wiring: the channel's
-  // routed source, resolved through the fabric's table.
+  // The adapter acks / SACK trains / credit cells for `channel` return to
+  // (nullptr when unwired or the channel has no return path).
   Adapter* ControlPeer(std::uint64_t channel) const {
-    return control_peer_fn_ ? control_peer_fn_(channel) : peer_;
+    return control_peer_fn_ ? control_peer_fn_(channel) : nullptr;
   }
 
   // Schedules an ack (ok) / nack control cell back to the sending peer.
@@ -511,8 +500,6 @@ class Adapter {
   Config config_;
   double link_us_per_byte_;
 
-  Adapter* peer_ = nullptr;
-  Resource* tx_link_ = nullptr;
   RouteFn route_fn_;
   ControlPeerFn control_peer_fn_;
   Resource* tx_cpu_ = nullptr;

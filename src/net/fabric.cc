@@ -6,6 +6,18 @@
 
 namespace genie {
 
+PointToPointLink::PointToPointLink(Engine& engine, Adapter& a, Adapter& b)
+    : ab_(engine, a.name() + "->" + b.name(), kDrrQuantumBytes),
+      ba_(engine, b.name() + "->" + a.name(), kDrrQuantumBytes),
+      a_to_b_{&b, {&ab_}, 1},
+      b_to_a_{&a, {&ba_}, 1} {
+  GENIE_CHECK(&a != &b) << "point-to-point link must join two distinct adapters";
+  a.Connect([path = &a_to_b_](std::uint64_t) { return path; },
+            [peer = &b](std::uint64_t) { return peer; });
+  b.Connect([path = &b_to_a_](std::uint64_t) { return path; },
+            [peer = &a](std::uint64_t) { return peer; });
+}
+
 Fabric::Fabric(Engine& engine, Config config) : engine_(&engine), config_(config) {
   GENIE_CHECK_GT(config_.drr_quantum_bytes, 0u);
   if (config_.topology == Topology::kDumbbell) {
@@ -39,7 +51,7 @@ void Fabric::Attach(Adapter& adapter, int side) {
                                          config_.drr_quantum_bytes);
   port.down = std::make_unique<SwitchLink>(*engine_, "fabric." + adapter.name() + ".down",
                                            config_.drr_quantum_bytes);
-  adapter.ConnectFabric(
+  adapter.Connect(
       [this, self = &adapter](std::uint64_t ch) { return RouteFor(*self, ch); },
       [this, self = &adapter](std::uint64_t ch) { return ControlPeerFor(*self, ch); });
 }

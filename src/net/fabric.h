@@ -1,25 +1,33 @@
-// A switched N-port fabric replacing point-to-point adapter wiring.
+// Adapter wiring: a dedicated point-to-point wire, or a switched N-port
+// fabric. Both hand adapters the same thing — a TxPath of arbitrated
+// SwitchLinks per channel plus a control-cell return peer — so every frame
+// takes one acquire -> stream -> release path whatever the topology.
 //
-// Each attached adapter gets a Port: an ingress (uplink) and an egress
-// (downlink) SwitchLink, both DRR-arbitrated per channel. A star topology
-// connects every uplink to every downlink through the (contention-free)
-// switch core, so a frame's path is [source uplink, destination downlink].
-// A dumbbell splits the ports in two sides joined by one shared trunk per
-// direction — the classic contended bottleneck link — so cross-side frames
-// additionally serialize on [source-side trunk].
+// PointToPointLink is the paper's testbed: two adapters joined by one
+// dedicated link per direction (one ATM virtual circuit each way). Every
+// channel in a direction shares that direction's link, arbitrated per
+// channel by DRR like any fabric link.
+//
+// Fabric gives each attached adapter a Port: an ingress (uplink) and an
+// egress (downlink) SwitchLink, both DRR-arbitrated per channel. A star
+// topology connects every uplink to every downlink through the
+// (contention-free) switch core, so a frame's path is [source uplink,
+// destination downlink]. A dumbbell splits the ports in two sides joined by
+// one shared trunk per direction — the classic contended bottleneck link —
+// so cross-side frames additionally serialize on [source-side trunk].
 //
 // Frames hold their whole path while streaming (acquire in the global order
 // uplink < trunk < egress, release in reverse), which keeps the receive side
-// of every adapter single-frame-at-a-time exactly as point-to-point wiring
-// did, and makes hold-while-waiting deadlock-free: wait-for edges only point
+// of every adapter single-frame-at-a-time exactly as a dedicated wire does,
+// and makes hold-while-waiting deadlock-free: wait-for edges only point
 // from lower- to higher-ranked links, so no cycle can form. The price is
 // input-queued head-of-line blocking, which the fairness tests observe.
 //
-// Channels are bidirectional: OpenChannel(ch, a, b) installs routes in both
-// directions plus the control-cell return mapping (acks, SACK trains, and
-// flow-control credits ride a lossless out-of-band path straight to the
-// other end, as with point-to-point wiring). Route pointers stay valid until
-// CloseChannel.
+// Fabric channels are bidirectional: OpenChannel(ch, a, b) installs routes
+// in both directions plus the control-cell return mapping (acks, SACK
+// trains, and flow-control credits ride a lossless out-of-band path straight
+// to the other end, as on a point-to-point wire). Route pointers stay valid
+// until CloseChannel; adapters copy the path they use.
 #ifndef GENIE_SRC_NET_FABRIC_H_
 #define GENIE_SRC_NET_FABRIC_H_
 
@@ -37,6 +45,25 @@
 #include "src/util/rng.h"
 
 namespace genie {
+
+class PointToPointLink {
+ public:
+  // DRR byte quantum of each direction's link: one page, the adapter's
+  // streaming granularity and the fabric's default.
+  static constexpr std::uint64_t kDrrQuantumBytes = 4096;
+
+  // Wires `a` and `b` to each other, one link per direction, for every
+  // channel. Must outlive any transmission on either adapter.
+  PointToPointLink(Engine& engine, Adapter& a, Adapter& b);
+  PointToPointLink(const PointToPointLink&) = delete;
+  PointToPointLink& operator=(const PointToPointLink&) = delete;
+
+ private:
+  SwitchLink ab_;
+  SwitchLink ba_;
+  TxPath a_to_b_;
+  TxPath b_to_a_;
+};
 
 class Fabric {
  public:
@@ -59,8 +86,9 @@ class Fabric {
   Fabric& operator=(const Fabric&) = delete;
 
   // Attaches `adapter` as a fabric port and installs the fabric's routing
-  // hooks on it (Adapter::ConnectFabric — mutually exclusive with
-  // ConnectTo). `side` selects the dumbbell half (0 or 1); stars ignore it.
+  // hooks on it (Adapter::Connect: an adapter is wired once, to a fabric or
+  // a PointToPointLink). `side` selects the dumbbell half (0 or 1); stars
+  // ignore it.
   void Attach(Adapter& adapter, int side = 0);
 
   // Opens channel `ch` between two attached adapters: routes in both

@@ -39,7 +39,8 @@ enum class Stage : std::uint8_t {
                      // nack pauses
   kDispose,          // sender + receiver dispose
   kWindowStall,      // admission blocked on a full selective-repeat window
-  kFabricWait,       // blocked in switch-fabric arbitration (contended links)
+  kFabricWait,       // blocked in link arbitration: a contended fabric hop
+                     // or point-to-point link
   kOther,            // covered by no span (fixed hardware latencies, gaps)
 };
 inline constexpr std::size_t kStageCount = 10;

@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "src/cost/cost_model.h"
+#include "src/net/fabric.h"
 #include "src/net/iovec_io.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 
 namespace genie {
 namespace {
@@ -20,7 +20,7 @@ constexpr std::uint32_t kPage = 4096;
 
 class AdapterTest : public ::testing::Test {
  protected:
-  AdapterTest() : cost_(MachineProfile::MicronP166()), pm_(128, kPage), link_(eng_, "link") {}
+  AdapterTest() : cost_(MachineProfile::MicronP166()), pm_(128, kPage) {}
 
   std::unique_ptr<Adapter> MakeTx() {
     return std::make_unique<Adapter>(eng_, pm_, cost_, "tx", Adapter::Config{});
@@ -61,14 +61,13 @@ class AdapterTest : public ::testing::Test {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource link_;
   std::vector<FrameId> frames_;
 };
 
 TEST_F(AdapterTest, EarlyDemuxDeliversIntoPostedBuffer) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
 
   const IoVec src = MakeBuffer(2 * kPage, 10);
   const IoVec dst = MakeBuffer(2 * kPage, 0);
@@ -96,7 +95,7 @@ TEST_F(AdapterTest, EarlyDemuxDeliversIntoPostedBuffer) {
 TEST_F(AdapterTest, TransferTimeMatchesLinkRate) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const std::size_t bytes = 8 * kPage;
   const IoVec src = MakeBuffer(bytes, 1);
   const IoVec dst = MakeBuffer(bytes, 0);
@@ -114,7 +113,7 @@ TEST_F(AdapterTest, TransferTimeMatchesLinkRate) {
 TEST_F(AdapterTest, UnalignedScatterGather) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   // Source: offset segments; destination offset differently.
   IoVec src = MakeBuffer(2 * kPage, 42);
   src.segments[0].offset = 100;
@@ -140,7 +139,7 @@ TEST_F(AdapterTest, UnalignedScatterGather) {
 TEST_F(AdapterTest, NoPostedBufferDropsFrame) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(kPage, 1);
   std::move(tx->TransmitFrame(9, src)).Detach();
   eng_.Run();
@@ -152,7 +151,7 @@ TEST_F(AdapterTest, NoPostedBufferDropsFrame) {
 TEST_F(AdapterTest, PostedBuffersConsumedFifoPerChannel) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec dst1 = MakeBuffer(kPage, 0);
   const IoVec dst2 = MakeBuffer(kPage, 0);
   std::vector<int> order;
@@ -170,7 +169,7 @@ TEST_F(AdapterTest, PostedBuffersConsumedFifoPerChannel) {
 TEST_F(AdapterTest, LongerFrameThanBufferTruncates) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(2 * kPage, 1);
   const IoVec dst = MakeBuffer(kPage, 0);
   std::optional<RxCompletion> completion;
@@ -187,7 +186,7 @@ TEST_F(AdapterTest, MidTransmissionStoreVisibleOnLaterPagesOnly) {
   // transmitted but never pages already on the wire.
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(4 * kPage, 0x00);
   const IoVec dst = MakeBuffer(4 * kPage, 0x00);
   rx->PostReceive(1, Adapter::PostedReceive{dst, nullptr});
@@ -217,7 +216,7 @@ TEST_F(AdapterTest, MidTransmissionStoreVisibleOnLaterPagesOnly) {
 TEST_F(AdapterTest, PooledReceiveFillsOverlayPages) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kPooled, 8);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(2 * kPage + 100, 3);
   std::optional<PooledFrame> got;
   rx->set_pooled_handler([&](PooledFrame f) { got = std::move(f); });
@@ -242,7 +241,7 @@ TEST_F(AdapterTest, PooledReceiveFillsOverlayPages) {
 TEST_F(AdapterTest, PoolDepletionDropsFrameAndRecyclesPages) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kPooled, 2);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(4 * kPage, 3);  // Needs 4 overlay pages; pool has 2.
   bool handler_called = false;
   rx->set_pooled_handler([&](PooledFrame) { handler_called = true; });
@@ -257,7 +256,7 @@ TEST_F(AdapterTest, PoolDepletionDropsFrameAndRecyclesPages) {
 TEST_F(AdapterTest, OutboardReceiveStagesFrame) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kOutboard);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(kPage + 17, 9);
   std::optional<OutboardFrame> got;
   rx->set_outboard_handler([&](OutboardFrame f) { got = f; });
@@ -278,7 +277,7 @@ TEST_F(AdapterTest, OutboardReceiveStagesFrame) {
 TEST_F(AdapterTest, CrcErrorInjectionReported) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   FaultPlan plan(1);
   FaultRule rule;
   rule.site = FaultSite::kDeviceError;
@@ -304,7 +303,7 @@ TEST_F(AdapterTest, CrcErrorInjectionReported) {
 TEST_F(AdapterTest, FramesSerializeOnLink) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(kPage, 1);
   const IoVec dst = MakeBuffer(kPage, 0);
   std::vector<SimTime> completions;
@@ -327,7 +326,7 @@ TEST_F(AdapterTest, OutboardCapacityOverflowDropsFrame) {
   cfg.outboard_capacity_bytes = 3 * kPage;  // Tiny staging RAM.
   auto tx = MakeTx();
   auto rx = std::make_unique<Adapter>(eng_, pm_, cost_, "rx", cfg);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   int delivered = 0;
   std::vector<std::uint32_t> handles;
   rx->set_outboard_handler([&](OutboardFrame f) {
@@ -353,7 +352,7 @@ TEST_F(AdapterTest, OutboardCapacityOverflowDropsFrame) {
 TEST_F(AdapterTest, OversizedFrameRejected) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec src = MakeBuffer(16 * kPage, 1);  // 64 KB > AAL5 max.
   EXPECT_DEATH(std::move(tx->TransmitFrame(1, src)).Detach(), "");
 }
@@ -363,7 +362,7 @@ TEST_F(AdapterTest, CrcErrorViaFaultPlanRule) {
   // plan corrupts exactly the scheduled frame.
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   FaultPlan plan(1);
   FaultRule rule;
   rule.site = FaultSite::kDeviceError;
@@ -391,7 +390,7 @@ TEST_F(AdapterTest, CrcErrorRulesQueueConsecutiveFrames) {
   // the next two arrivals (the idiom the removed InjectCrcError shim offered).
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   FaultPlan plan(1);
   for (std::uint64_t nth = 1; nth <= 2; ++nth) {
     FaultRule rule;
@@ -422,11 +421,9 @@ struct AckRecord {
 };
 
 TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
-  Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
-  rx->ConnectTo(tx.get(), &back);  // control-cell return path for acks
+  PointToPointLink link(eng_, *tx, *rx);
 
   std::vector<AckRecord> acks;
   tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
@@ -481,11 +478,9 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
 }
 
 TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
-  Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
-  rx->ConnectTo(tx.get(), &back);
+  PointToPointLink link(eng_, *tx, *rx);
 
   FaultPlan plan(1);
   FaultRule rule;
@@ -548,7 +543,7 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
 TEST_F(AdapterTest, LinkDropLosesFrameWithoutConsumingBuffer) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
 
   FaultPlan plan(1);
   FaultRule rule;
@@ -580,7 +575,7 @@ TEST_F(AdapterTest, LinkDropLosesFrameWithoutConsumingBuffer) {
 TEST_F(AdapterTest, LinkDuplicateDeliversUnsequencedFrameTwice) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
 
   FaultPlan plan(1);
   FaultRule rule;
@@ -613,11 +608,9 @@ TEST_F(AdapterTest, LinkDuplicateDeliversUnsequencedFrameTwice) {
 }
 
 TEST_F(AdapterTest, LinkDuplicateOfSequencedFrameSuppressed) {
-  Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
-  rx->ConnectTo(tx.get(), &back);
+  PointToPointLink link(eng_, *tx, *rx);
 
   FaultPlan plan(1);
   FaultRule rule;
@@ -649,7 +642,7 @@ TEST_F(AdapterTest, LinkDuplicateOfSequencedFrameSuppressed) {
 TEST_F(AdapterTest, LinkReorderDeliversHeldFrameBehindYounger) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
 
   FaultPlan plan(1);
   FaultRule rule;
@@ -685,7 +678,7 @@ TEST_F(AdapterTest, LinkReorderDeliversHeldFrameBehindYounger) {
 TEST_F(AdapterTest, LinkReorderFlushTimerDeliversLoneHeldFrame) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
 
   FaultPlan plan(1);
   FaultRule rule;
@@ -712,7 +705,7 @@ TEST_F(AdapterTest, LinkReorderFlushTimerDeliversLoneHeldFrame) {
 TEST_F(AdapterTest, CancelPostedReceiveRemovesQueuedBuffer) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
   const IoVec dst1 = MakeBuffer(kPage, 0);
   const IoVec dst2 = MakeBuffer(kPage, 0);
   std::vector<int> order;
@@ -739,7 +732,7 @@ TEST_F(AdapterTest, AbortCreditWaitBreaksCreditDeadlock) {
   tx_cfg.flow_control = true;
   auto tx = std::make_unique<Adapter>(eng_, pm_, cost_, "tx", tx_cfg);
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
+  PointToPointLink link(eng_, *tx, *rx);
 
   // No posted buffer -> no credit -> the transmission parks forever. This is
   // the credit deadlock the transfer watchdog breaks.
@@ -766,11 +759,9 @@ TEST_F(AdapterTest, WideWindowDuplicateStillSuppressed) {
   // retransmission of an old frame once the window is wider than 128. The
   // receiver keeps a cumulative mark instead: anything at or below it is
   // recognized as a duplicate no matter how far the window has advanced.
-  Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
-  rx->ConnectTo(tx.get(), &back);
+  PointToPointLink link(eng_, *tx, *rx);
   tx->set_arq_window(256);
   rx->set_arq_window(256);
 
@@ -807,11 +798,9 @@ TEST_F(AdapterTest, WindowedReceiverBatchesSackAcks) {
   // Accepted frames are acknowledged by batched SACK trains: frames
   // accepted within one control-cell latency of each other share a single
   // flush.
-  Resource back(eng_, "back");
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
-  tx->ConnectTo(rx.get(), &link_);
-  rx->ConnectTo(tx.get(), &back);
+  PointToPointLink link(eng_, *tx, *rx);
   tx->set_arq_window(8);
   rx->set_arq_window(8);
 

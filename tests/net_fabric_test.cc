@@ -1,7 +1,9 @@
-// Switched-fabric unit tests: DRR link arbitration, star/dumbbell routing,
-// control-cell return paths, and end-to-end transfers across four nodes.
+// Link wiring unit tests: DRR link arbitration, star/dumbbell routing,
+// control-cell return paths, end-to-end transfers across four nodes, and
+// point-to-point links.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/net/fabric.h"
@@ -242,6 +244,91 @@ TEST(FabricTest, SameScheduleReplaysIdenticalDigest) {
     return rig.engine.event_digest();
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Adapter-level wiring ---
+
+// Two bare adapters over one physical memory, for wiring tests below the
+// node layer.
+struct AdapterPair {
+  AdapterPair()
+      : cost(MachineProfile::MicronP166()),
+        pm(8, 4096),
+        tx(engine, pm, cost, "tx", Adapter::Config{}),
+        rx(engine, pm, cost, "rx", Adapter::Config{}) {}
+  ~AdapterPair() {
+    for (const FrameId f : frames) {
+      pm.Free(f);
+    }
+  }
+
+  IoVec Buffer(std::uint32_t bytes) {
+    frames.push_back(pm.Allocate());
+    IoVec iov;
+    iov.segments.push_back(IoSegment{frames.back(), 0, bytes});
+    return iov;
+  }
+
+  Engine engine;
+  CostModel cost;
+  PhysicalMemory pm;
+  Adapter tx;
+  Adapter rx;
+  std::vector<FrameId> frames;
+};
+
+// Each direction of a point-to-point link is DRR-arbitrated per channel: a
+// 1 KiB frame on channel 2, queued behind a 60 KiB backlog of page frames on
+// channel 1, is granted after at most one more backlog frame instead of
+// waiting for the whole backlog to drain (a FIFO wire delivers it last).
+TEST(PointToPointLinkTest, ChannelsShareADirectionByBytesNotArrival) {
+  AdapterPair p;
+  PointToPointLink link(p.engine, p.tx, p.rx);
+  constexpr int kBacklog = 15;  // 15 x 4 KiB
+  const IoVec page = p.Buffer(4096);
+  const IoVec small = p.Buffer(1024);
+  const IoVec dst = p.Buffer(4096);
+  std::vector<std::uint64_t> order;
+  auto note = [&](const RxCompletion& c) { order.push_back(c.channel); };
+  for (int i = 0; i < kBacklog; ++i) {
+    p.rx.PostReceive(1, Adapter::PostedReceive{dst, note});
+    std::move(p.tx.TransmitFrame(1, page)).Detach();
+  }
+  p.rx.PostReceive(2, Adapter::PostedReceive{dst, note});
+  std::move(p.tx.TransmitFrame(2, small)).Detach();
+  p.engine.Run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kBacklog + 1));
+  EXPECT_LE(std::find(order.begin(), order.end(), 2u) - order.begin(), 2);
+}
+
+// Regression: a frame held back by a kLinkReorder fault keeps its transmit
+// path by value, so closing the channel during the hold must not leave the
+// late replay reading the route-table entry CloseChannel freed.
+TEST(FabricTest, HeldFrameReplaysAfterChannelClose) {
+  AdapterPair p;
+  Fabric fabric(p.engine, Fabric::Config{});
+  fabric.Attach(p.tx);
+  fabric.Attach(p.rx);
+  fabric.OpenChannel(1, p.tx, p.rx);
+  FaultPlan plan(1);
+  FaultRule hold;
+  hold.site = FaultSite::kLinkReorder;
+  hold.nth = 1;
+  plan.AddRule(hold);
+  p.tx.set_fault_plan(&plan);
+
+  int delivered = 0;
+  p.rx.PostReceive(1, Adapter::PostedReceive{p.Buffer(64), [&](const RxCompletion&) {
+                                               ++delivered;
+                                             }});
+  std::move(p.tx.TransmitFrame(1, p.Buffer(64))).Detach();
+  // The 64-byte frame clears the wire in ~4 us and is then held for the
+  // default 50 us reorder delay; the channel closes mid-hold.
+  p.engine.ScheduleAt(20 * kMicrosecond, [&] { fabric.CloseChannel(1); });
+  p.engine.Run();
+  EXPECT_EQ(p.tx.link_frames_reordered(), 1u);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(p.rx.frames_received(), 1u);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 
 #include "src/cost/cost_model.h"
 #include "src/net/adapter.h"
+#include "src/net/fabric.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 
 namespace genie {
 namespace {
@@ -15,13 +15,12 @@ constexpr std::uint32_t kPage = 4096;
 
 class FlowControlTest : public ::testing::Test {
  protected:
-  FlowControlTest() : cost_(MachineProfile::MicronP166()), pm_(64, kPage), link_(eng_, "link") {
+  FlowControlTest() : cost_(MachineProfile::MicronP166()), pm_(64, kPage) {
     Adapter::Config cfg;
     cfg.flow_control = true;
     tx_ = std::make_unique<Adapter>(eng_, pm_, cost_, "tx", cfg);
     rx_ = std::make_unique<Adapter>(eng_, pm_, cost_, "rx", cfg);
-    tx_->ConnectTo(rx_.get(), &link_);
-    rx_->ConnectTo(tx_.get(), &link_);  // Symmetric so credits can return.
+    wire_ = std::make_unique<PointToPointLink>(eng_, *tx_, *rx_);
   }
 
   IoVec MakeBuffer(std::size_t bytes) {
@@ -46,9 +45,9 @@ class FlowControlTest : public ::testing::Test {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource link_;
   std::unique_ptr<Adapter> tx_;
   std::unique_ptr<Adapter> rx_;
+  std::unique_ptr<PointToPointLink> wire_;
   std::vector<FrameId> frames_;
 };
 

@@ -275,6 +275,26 @@ TEST(CriticalPathTest, WindowedJsonIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.json, b.json);
   EXPECT_FALSE(a.json.empty());
   EXPECT_NE(a.json.find("\"window_stall\""), std::string::npos);
+  EXPECT_NE(a.json.find("\"fabric_wait\""), std::string::npos);
+}
+
+TEST(CriticalPathTest, PointToPointLinkQueueingChargesToFabricWait) {
+  // The burst queues on the sender's point-to-point link: the first flow is
+  // granted at once, and each later flow waits out every earlier frame, so
+  // its fabric_wait grows with its place in the queue. The wait only moves
+  // between stages; every makespan is the one the plain wire produced.
+  const ScenarioResult run = RunWindowedScenario(8, false);
+  ASSERT_EQ(run.flows.size(), static_cast<std::size_t>(kBurst));
+  const SimTime kMakespans[kBurst] = {1395727, 2129530, 2863333, 3597136};
+  EXPECT_EQ(run.flows[0].stage(Stage::kFabricWait), 0);
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(run.flows[i].makespan, kMakespans[i]) << "flow " << run.flows[i].flow;
+    if (i > 0) {
+      EXPECT_GT(run.flows[i].stage(Stage::kFabricWait),
+                run.flows[i - 1].stage(Stage::kFabricWait))
+          << "flow " << run.flows[i].flow;
+    }
+  }
 }
 
 TEST(CriticalPathTest, WindowStallChargedWhenWindowSaturates) {

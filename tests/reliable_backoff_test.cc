@@ -13,9 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "src/cost/cost_model.h"
+#include "src/net/fabric.h"
 #include "src/net/iovec_io.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 
 namespace genie {
 namespace {
@@ -30,13 +30,10 @@ class ReliableRig {
   ReliableRig()
       : cost_(MachineProfile::MicronP166()),
         pm_(128, kPage),
-        fwd_(eng_, "fwd"),
-        back_(eng_, "back"),
         tx_(eng_, pm_, cost_, "tx", Adapter::Config{}),
         rx_(eng_, pm_, cost_, "rx", RxConfig()),
+        wire_(eng_, tx_, rx_),
         rel_(eng_, tx_, "tx.xfer") {
-    tx_.ConnectTo(&rx_, &fwd_);
-    rx_.ConnectTo(&tx_, &back_);
     plan_.set_clock([this] { return eng_.now(); });
     tx_.set_fault_plan(&plan_);
     rel_.set_metrics(&metrics_);
@@ -97,10 +94,9 @@ class ReliableRig {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource fwd_;
-  Resource back_;
   Adapter tx_;
   Adapter rx_;
+  PointToPointLink wire_;
   ReliableDelivery rel_;
   MetricsRegistry metrics_;
   FaultPlan plan_{1};

@@ -14,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "src/cost/cost_model.h"
+#include "src/net/fabric.h"
 #include "src/net/iovec_io.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 #include "src/sim/trace.h"
 
 namespace genie {
@@ -32,13 +32,10 @@ class WindowRig {
   WindowRig()
       : cost_(MachineProfile::MicronP166()),
         pm_(192, kPage),
-        fwd_(eng_, "fwd"),
-        back_(eng_, "back"),
         tx_(eng_, pm_, cost_, "tx", Adapter::Config{}),
         rx_(eng_, pm_, cost_, "rx", Adapter::Config{}),
+        wire_(eng_, tx_, rx_),
         rel_(eng_, tx_, "tx.xfer") {
-    tx_.ConnectTo(&rx_, &fwd_);
-    rx_.ConnectTo(&tx_, &back_);
     plan_.set_clock([this] { return eng_.now(); });
     tx_.set_fault_plan(&plan_);
     rel_.set_metrics(&metrics_);
@@ -115,10 +112,9 @@ class WindowRig {
   SimTime last_done_ = 0;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource fwd_;
-  Resource back_;
   Adapter tx_;
   Adapter rx_;
+  PointToPointLink wire_;
   ReliableDelivery rel_;
   MetricsRegistry metrics_;
   FaultPlan plan_{1};
