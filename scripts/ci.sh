@@ -42,14 +42,15 @@ if ! ctest --test-dir build --output-on-failure -j "$JOBS"; then
   print_flight_dumps
   exit 1
 fi
-# The critical-path analyzer's byte-identical-JSON contract, and the
-# attribution of link queueing to fabric_wait, are part of the trace
-# pipeline's gate: run them by name so a filter change can never silently
-# deselect them.
+# The critical-path analyzer's byte-identical-JSON contract, the attribution
+# of link queueing to fabric_wait, and the receiver-prepare join staying
+# inside its own input are part of the trace pipeline's gate: run them by
+# name so a filter change can never silently deselect them.
 CRITICAL_PATH_GATE='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns'
 CRITICAL_PATH_GATE+=':CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
 CRITICAL_PATH_GATE+=':CriticalPathTest.WindowedJsonIsByteIdenticalAcrossRuns'
 CRITICAL_PATH_GATE+=':CriticalPathTest.PointToPointLinkQueueingChargesToFabricWait'
+CRITICAL_PATH_GATE+=':CriticalPathTest.ReceiverPrepareJoinsOnlyItsOwnInput'
 build/tests/obs_critical_path_test \
   --gtest_filter="$CRITICAL_PATH_GATE"
 

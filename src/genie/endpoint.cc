@@ -177,12 +177,14 @@ void Endpoint::RegisterMetrics() {
   }
 }
 
-std::string Endpoint::XferLabel(const char* direction, Semantics sem) {
-  return std::string(direction) + "#" + std::to_string(next_transfer_id_++) + "[" +
-         std::string(SemanticsName(sem)) + "]";
+void Endpoint::CompleteInput(PendingInput& pi, TraceScope& dispose_span) {
+  dispose_span.End();
+  pi.result.completed_at = node_->engine().now();
+  RecordInputComplete(pi);
+  node_->cpu().Release();
+  FinishOperation();
+  pi.done.Set();
 }
-
-std::string Endpoint::XferTrack() const { return node_->name() + ".xfer"; }
 
 void Endpoint::RecordInputComplete(PendingInput& pi) {
   if (pi.cancel_id != 0) {
@@ -269,7 +271,7 @@ std::shared_ptr<Endpoint::OutputState> Endpoint::MakeOutputState(AddressSpace& a
     effective = Semantics::kCopy;
   }
   st->effective = effective;
-  st->xfer = XferLabel("out", effective);
+  st->key = TransferKey{node_, channel_, next_transfer_id_++, TransferDir::kOut, effective};
   // Minted here, at the origin of the causal chain: every span and instant
   // this transfer produces — on either node — carries the same flow id.
   st->flow = node_->engine().NextFlowId();
@@ -281,14 +283,15 @@ std::shared_ptr<Endpoint::OutputState> Endpoint::MakeOutputState(AddressSpace& a
 }
 
 Task<IoStatus> Endpoint::RunOutputPrepare(std::shared_ptr<OutputState> st) {
-  TraceScope prepare_span(node_->trace(), XferTrack(), st->xfer + ".prepare", "xfer", st->flow);
+  TraceScope prepare_span(node_->trace(), node_->xfer_track(), st->key, TraceStage::kPrepare,
+                          st->flow);
   co_await Charge(OpKind::kSenderKernelFixed, 0);
   Charges charges;
   IoStatus prep;
   {
     // Synchronous phase: VM events it triggers (faults, page-ins) are keyed
     // to this transfer.
-    ScopedTraceContext trace_ctx(node_->trace(), st->xfer);
+    ScopedTraceContext trace_ctx(node_->trace(), st->key);
     prep = PrepareOutputWithFallback(*st, charges);
   }
   if (prep != IoStatus::kOk) {
@@ -585,10 +588,10 @@ IoStatus Endpoint::PrepareOutput(OutputState& st, Charges& ch) {
   return IoStatus::kOk;
 }
 
-void Endpoint::RecordSemanticsFallback(const std::string& xfer, std::string_view from,
+void Endpoint::RecordSemanticsFallback(const TransferKey& key, std::string_view from,
                                        std::string_view to) {
   ++stats_.semantics_fallbacks;
-  node_->reliable().RecordFallback(xfer, from, to);
+  node_->reliable().RecordFallback(key, from, to);
 }
 
 IoStatus Endpoint::PrepareOutputWithFallback(OutputState& st, Charges& ch) {
@@ -599,7 +602,7 @@ IoStatus Endpoint::PrepareOutputWithFallback(OutputState& st, Charges& ch) {
     if (!NextOutputFallback(st.effective, &next, &deallocate)) {
       break;
     }
-    RecordSemanticsFallback(st.xfer, SemanticsName(st.effective), SemanticsName(next));
+    RecordSemanticsFallback(st.key, SemanticsName(st.effective), SemanticsName(next));
     // The failed attempt unwound its own resources; drop the stale handles
     // before retrying with the demoted semantics.
     st.ref = IoReference{};
@@ -627,7 +630,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
   // Device setup, bus and network fixed latencies, then the wire transfer.
   // The transmit span covers DMA through the adapter completion.
   ReliableDelivery& reliable = node_->reliable();
-  TraceScope transmit_span(node_->trace(), XferTrack(), st->xfer + ".transmit", "xfer",
+  TraceScope transmit_span(node_->trace(), node_->xfer_track(), st->key, TraceStage::kTransmit,
                            st->flow);
   co_await Delay(node_->engine(), node_->Cost(OpKind::kHardwareFixed, 0));
   bool delivery_failed = false;
@@ -639,7 +642,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
     bool watching = false;
     if (reliable.watchdog_enabled()) {
       watching = true;
-      watch_id = reliable.Watch(st->xfer, [this, token] {
+      watch_id = reliable.Watch(st->key, [this, token] {
         if (token->resolved) {
           // The transfer already succeeded at this instant (ack and watchdog
           // scan landing together): report completion, not a cancel, so the
@@ -663,7 +666,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
       });
     }
     const ReliableDelivery::TxReport report = co_await reliable.TransmitReliably(
-        channel_, st->wire, st->header, st->tag, st->xfer, token, st->flow);
+        channel_, st->wire, st->header, st->tag, st->key, token, st->flow);
     if (watching) {
       reliable.Unwatch(watch_id);
     }
@@ -674,7 +677,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
     // Unreliable transmit, but watched: a credit deadlock (flow control with
     // the peer never posting a receive) is broken by aborting the wait.
     auto ctl = std::make_shared<TxControl>();
-    const std::uint64_t watch_id = reliable.Watch(st->xfer, [this, ctl] {
+    const std::uint64_t watch_id = reliable.Watch(st->key, [this, ctl] {
       return node_->adapter().AbortCreditWait(channel_, ctl)
                  ? ReliableDelivery::WatchVerdict::kCancelled
                  : ReliableDelivery::WatchVerdict::kBusy;
@@ -703,10 +706,11 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
   // Transmit-complete: dispose on the sender CPU (overlapping the network
   // and receiver-side processing).
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), st->xfer + ".dispose", "xfer", st->flow);
+  TraceScope dispose_span(node_->trace(), node_->xfer_track(), st->key, TraceStage::kDispose,
+                          st->flow);
   Charges charges;
   {
-    ScopedTraceContext trace_ctx(node_->trace(), st->xfer);
+    ScopedTraceContext trace_ctx(node_->trace(), st->key);
     DisposeOutput(*st, charges);
   }
   for (const auto& [op, bytes] : charges.items) {
@@ -861,18 +865,18 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   pi->sem = sem;
   pi->mode = node_->adapter().rx_buffering();
   pi->system_allocated = system_allocated;
-  pi->xfer = XferLabel("in", sem);
+  pi->key = TransferKey{node_, channel_, next_transfer_id_++, TransferDir::kIn, sem};
   pi->started_at = node_->engine().now();
 
   ++stats_.inputs;
   ++pending_;
 
   co_await node_->cpu().Acquire();
-  TraceScope prepare_span(node_->trace(), XferTrack(), pi->xfer + ".prepare");
+  TraceScope prepare_span(node_->trace(), node_->xfer_track(), pi->key, TraceStage::kPrepare);
   Charges charges;
   IoStatus prep;
   {
-    ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
+    ScopedTraceContext trace_ctx(node_->trace(), pi->key);
     prep = PrepareInputWithFallback(*pi, charges);
   }
   for (const auto& [op, bytes] : charges.items) {
@@ -881,28 +885,21 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   prepare_span.End();
   node_->cpu().Release();
 
-  if (prep != IoStatus::kOk) {
-    // The input was never posted; prepare unwound everything it did. The
-    // failure is reported to the caller instead of aborting the kernel.
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
-    pi->result.ok = false;
-    pi->result.status = prep;
-    pi->result.completed_at = node_->engine().now();
-    FinishOperation();
-    co_return pi->result;
-  }
-
-  if (node_->crashed()) {
+  if (prep == IoStatus::kOk && node_->crashed()) {
     // The crash landed while prepare held the CPU (the crash unwind cannot
     // see an input that is not yet posted). Undo the prepare and fail, as
     // the crash unwind would have; PostReceive on a crashed adapter aborts.
     Charges discarded;
     UnwindInputResources(*pi, discarded);
+    prep = IoStatus::kPeerCrashed;
+  }
+  if (prep != IoStatus::kOk) {
+    // The input was never posted; everything prepared was unwound. The
+    // failure is reported to the caller instead of aborting the kernel.
     ++stats_.failed_inputs;
     ++stats_.recovered_transfers;
     pi->result.ok = false;
-    pi->result.status = IoStatus::kPeerCrashed;
+    pi->result.status = prep;
     pi->result.completed_at = node_->engine().now();
     FinishOperation();
     co_return pi->result;
@@ -934,7 +931,7 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   std::uint64_t watch_id = 0;
   if (node_->reliable().watchdog_enabled()) {
     watching = true;
-    watch_id = node_->reliable().Watch(pi->xfer, [this, pi] { return TryCancelStuckInput(pi); });
+    watch_id = node_->reliable().Watch(pi->key, [this, pi] { return TryCancelStuckInput(pi); });
   }
   co_await pi->done.Wait();
   if (watching) {
@@ -950,7 +947,7 @@ IoStatus Endpoint::PrepareInputWithFallback(PendingInput& pi, Charges& ch) {
     if (!NextInputFallback(pi.sem, pi.system_allocated, &next)) {
       break;
     }
-    RecordSemanticsFallback(pi.xfer, SemanticsName(pi.sem), SemanticsName(next));
+    RecordSemanticsFallback(pi.key, SemanticsName(pi.sem), SemanticsName(next));
     // The failed attempt unwound its own resources (including resetting
     // pi.va for system-allocated regions); drop the stale handles and retry
     // demoted. Dispose follows pi.sem, so the downgrade carries through the
@@ -1010,7 +1007,7 @@ IoStatus Endpoint::PrepareInput(PendingInput& pi, Charges& ch) {
             return IoStatus::kNoMemory;
           }
           if (degraded) {
-            RecordSemanticsFallback(pi.xfer, "aligned", "unaligned");
+            RecordSemanticsFallback(pi.key, "aligned", "unaligned");
           }
         } else if (!node_->TryEnsureFreeFrames(
                        CeilPages(static_cast<std::uint64_t>(offset) + len, psz)) ||
@@ -1523,23 +1520,24 @@ ReliableDelivery::WatchVerdict Endpoint::TryCancelStuckInput(
       break;
     }
   }
-  CancelStuckInput(*pi);
+  // Runs outside the CPU resource and charges nothing: cancellation is
+  // control-plane work off the measured data path.
+  ++stats_.watchdog_cancels;
+  AbortInput(*pi, IoStatus::kCancelled, " watchdog cancelled", "reliable");
   return ReliableDelivery::WatchVerdict::kCancelled;
 }
 
-void Endpoint::CancelStuckInput(PendingInput& pi) {
-  // Watchdog path: runs outside the CPU resource and charges nothing —
-  // cancellation is control-plane work off the measured data path.
+void Endpoint::AbortInput(PendingInput& pi, IoStatus status, std::string_view what,
+                          const char* category) {
   Charges discarded;
   UnwindInputResources(pi, discarded);
   pi.result.ok = false;
-  pi.result.status = IoStatus::kCancelled;
+  pi.result.status = status;
   pi.result.completed_at = node_->engine().now();
   ++stats_.failed_inputs;
   ++stats_.recovered_transfers;
-  ++stats_.watchdog_cancels;
   if (TraceLog* trace = node_->trace(); trace != nullptr) {
-    trace->Instant(XferTrack(), pi.xfer + " watchdog cancelled", "reliable",
+    trace->Instant(node_->xfer_track(), TransferLabel(pi.key) + std::string(what), category,
                    node_->engine().now());
   }
   RecordInputComplete(pi);
@@ -1559,20 +1557,7 @@ void Endpoint::CrashAbort() {
   }
   for (const auto& pi : victims) {
     // Control-plane unwind, like the watchdog path: no CPU charge.
-    Charges discarded;
-    UnwindInputResources(*pi, discarded);
-    pi->result.ok = false;
-    pi->result.status = IoStatus::kPeerCrashed;
-    pi->result.completed_at = node_->engine().now();
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
-    if (TraceLog* trace = node_->trace(); trace != nullptr) {
-      trace->Instant(XferTrack(), pi->xfer + " crash aborted", "crash",
-                     node_->engine().now());
-    }
-    RecordInputComplete(*pi);
-    FinishOperation();
-    pi->done.Set();
+    AbortInput(*pi, IoStatus::kPeerCrashed, " crash aborted", "crash");
   }
   // The adapter's crash wipe already dropped its postings; the endpoint-side
   // waiting lists must match (every entry was just failed above).
@@ -1609,13 +1594,14 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
                                           RxCompletion completion) {
   pi->flow = completion.flow;
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), pi->xfer + ".dispose", "xfer", pi->flow);
+  TraceScope dispose_span(node_->trace(), node_->xfer_track(), pi->key, TraceStage::kDispose,
+                          pi->flow);
   co_await Charge(OpKind::kReceiverKernelFixed, 0);
   Charges charges;
   pi->result.crc_ok = completion.crc_ok;
   const std::uint64_t n = std::min<std::uint64_t>(completion.bytes, pi->len);
   {
-    ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
+    ScopedTraceContext trace_ctx(node_->trace(), pi->key);
     if (!completion.crc_ok) {
       CleanupFailedInput(*pi, charges);
     } else {
@@ -1640,18 +1626,14 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
   for (const auto& [op, bytes] : charges.items) {
     co_await Charge(op, bytes);
   }
-  dispose_span.End();
-  pi->result.completed_at = node_->engine().now();
-  RecordInputComplete(*pi);
-  node_->cpu().Release();
-  FinishOperation();
-  pi->done.Set();
+  CompleteInput(*pi, dispose_span);
 }
 
 Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFrame frame) {
   pi->flow = frame.flow;
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), pi->xfer + ".dispose", "xfer", pi->flow);
+  TraceScope dispose_span(node_->trace(), node_->xfer_track(), pi->key, TraceStage::kDispose,
+                          pi->flow);
   co_await Charge(OpKind::kReceiverKernelFixed, 0);
   // Ready-time operations (Table 4): overlay allocation happened at arrival
   // in the device; the kernel-side costs land here, on the critical path.
@@ -1663,7 +1645,7 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
   bool failed = !frame.crc_ok;
   bool integrated_mismatch = false;
   {
-    ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
+    ScopedTraceContext trace_ctx(node_->trace(), pi->key);
     if (!failed) {
       IoVec overlay_iov;
       {
@@ -1701,12 +1683,7 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
   for (const auto& [op, bytes] : charges.items) {
     co_await Charge(op, bytes);
   }
-  dispose_span.End();
-  pi->result.completed_at = node_->engine().now();
-  RecordInputComplete(*pi);
-  node_->cpu().Release();
-  FinishOperation();
-  pi->done.Set();
+  CompleteInput(*pi, dispose_span);
 }
 
 Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, OutboardFrame frame) {
@@ -1714,7 +1691,8 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
   const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
   pi->flow = frame.flow;
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), pi->xfer + ".dispose", "xfer", pi->flow);
+  TraceScope dispose_span(node_->trace(), node_->xfer_track(), pi->key, TraceStage::kDispose,
+                          pi->flow);
   co_await Charge(OpKind::kReceiverKernelFixed, 0);
   pi->result.crc_ok = frame.crc_ok;
 
@@ -1745,19 +1723,14 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
   if (!frame.crc_ok || checksum_failed_early) {
     Charges charges;
     {
-      ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
+      ScopedTraceContext trace_ctx(node_->trace(), pi->key);
       CleanupFailedInput(*pi, charges);
     }
     for (const auto& [op, bytes] : charges.items) {
       co_await Charge(op, bytes);
     }
     adapter.FreeOutboard(frame.handle);
-    dispose_span.End();
-    pi->result.completed_at = node_->engine().now();
-    RecordInputComplete(*pi);
-    node_->cpu().Release();
-    FinishOperation();
-    pi->done.Set();
+    CompleteInput(*pi, dispose_span);
     co_return;
   }
 
@@ -1768,7 +1741,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     AccessResult res;
     {
       // Referencing may fault the application buffer in (page-in/zero-fill).
-      ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
+      ScopedTraceContext trace_ctx(node_->trace(), pi->key);
       res = ReferenceRange(*pi->app, pi->va, n, IoDirection::kInput, &pi->ref);
     }
     if (res != AccessResult::kOk) {
@@ -1779,12 +1752,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
       pi->result.status = IoStatus::kIoError;
       ++stats_.failed_inputs;
       ++stats_.recovered_transfers;
-      dispose_span.End();
-      pi->result.completed_at = node_->engine().now();
-      RecordInputComplete(*pi);
-      node_->cpu().Release();
-      FinishOperation();
-      pi->done.Set();
+      CompleteInput(*pi, dispose_span);
       co_return;
     }
     co_await Charge(OpKind::kReference, n);
@@ -1809,7 +1777,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     co_await node_->cpu().Acquire();
     Charges charges;
     {
-      ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
+      ScopedTraceContext trace_ctx(node_->trace(), pi->key);
       DisposeInputTable3(*pi, n, charges);
     }
     for (const auto& [op, bytes] : charges.items) {
@@ -1822,12 +1790,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     // mismatch surfaced (weak behavior, Section 9).
     pi->result.ok = false;
   }
-  dispose_span.End();
-  pi->result.completed_at = node_->engine().now();
-  RecordInputComplete(*pi);
-  node_->cpu().Release();
-  FinishOperation();
-  pi->done.Set();
+  CompleteInput(*pi, dispose_span);
 }
 
 void Endpoint::OnPooledFrame(PooledFrame frame) {

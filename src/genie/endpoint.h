@@ -31,6 +31,8 @@
 
 namespace genie {
 
+class TraceScope;
+
 // Why an operation failed. Application misuse (bad buffer bounds, taxonomy
 // misuse) still aborts — these cover failures the kernel recovers from.
 enum class IoStatus : std::uint8_t {
@@ -250,7 +252,7 @@ class Endpoint {
     // region must still be deallocated at dispose (the move contract — the
     // application has relinquished the buffer).
     bool deallocate_region = false;
-    std::string xfer;          // trace key: "out#<id>[<semantics>]"
+    TransferKey key;           // names this transfer in trace records
     std::uint64_t flow = 0;    // causal flow id stamping this transfer's events
     SimTime started_at = 0;
     // Optional: invoked exactly once with the final status — at prepare
@@ -280,10 +282,10 @@ class Endpoint {
     std::vector<FrameId> deferred_retire;
     InputResult result;
     SimEvent done;
-    std::string xfer;  // trace key: "in#<id>[<semantics>]"
+    TransferKey key;  // names this transfer in trace records
     // Causal flow id of the frame that landed in this input (stamped at
     // dispose; the prepare happens before any sender exists, so its span is
-    // joined into the flow's graph by label instead).
+    // joined into the flow's graph by key instead).
     std::uint64_t flow = 0;
     SimTime started_at = 0;
     // Nonzero when the transfer watchdog may cancel this input; for
@@ -324,7 +326,7 @@ class Endpoint {
   // attempts) until an attempt sticks or the chain bottoms out.
   IoStatus PrepareOutputWithFallback(OutputState& st, Charges& ch);
   IoStatus PrepareInputWithFallback(PendingInput& pi, Charges& ch);
-  void RecordSemanticsFallback(const std::string& xfer, std::string_view from,
+  void RecordSemanticsFallback(const TransferKey& key, std::string_view from,
                                std::string_view to);
   // Table 3 dispose (early demultiplexed and outboard DMA targets).
   void DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch);
@@ -338,7 +340,11 @@ class Endpoint {
   // own, kBusy if a frame is mid-delivery, else revokes the posting/queue
   // entry, unwinds, fails the input with IoStatus::kCancelled.
   ReliableDelivery::WatchVerdict TryCancelStuckInput(const std::shared_ptr<PendingInput>& pi);
-  void CancelStuckInput(PendingInput& pi);
+  // Control-plane failure of a waiting input (watchdog cancel, crash): unwinds
+  // it uncharged, fails it with `status`, traces "<label><what>" and wakes the
+  // waiting Input().
+  void AbortInput(PendingInput& pi, IoStatus status, std::string_view what,
+                  const char* category);
 
   // Output prepare phase (trace span, kernel-fixed charge, semantics
   // fallback, checksum, cost charges). Caller holds the CPU. On success the
@@ -389,11 +395,10 @@ class Endpoint {
   // Registers this endpoint's stats and op-count gauges ("ep<channel>.*")
   // with the node's MetricsRegistry; the destructor unregisters them.
   void RegisterMetrics();
-  // "out#7[emulated copy]" — the per-transfer trace/metric key.
-  std::string XferLabel(const char* direction, Semantics sem);
-  // The "<node>.xfer" track every per-transfer span lands on.
-  std::string XferTrack() const;
   void RecordInputComplete(PendingInput& pi);
+  // Input epilogue, run holding the CPU: closes the dispose span, records
+  // completion, releases the CPU and wakes the waiting Input().
+  void CompleteInput(PendingInput& pi, TraceScope& dispose_span);
 
   Node* node_;
   std::uint64_t channel_;

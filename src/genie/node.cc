@@ -23,11 +23,12 @@ Adapter::Config AdapterConfig(const Node::Config& config) {
 Node::Node(Engine& engine, std::string name, Config config)
     : engine_(&engine),
       name_(std::move(name)),
+      xfer_track_(name_ + ".xfer"),
       cost_(config.profile),
       vm_(config.mem_frames, config.profile.page_size),
       cpu_(engine, name_ + ".cpu"),
       adapter_(engine, vm_.pm(), cost_, name_ + ".nic", AdapterConfig(config)),
-      reliable_(std::make_unique<ReliableDelivery>(engine, adapter_, name_ + ".xfer")),
+      reliable_(std::make_unique<ReliableDelivery>(engine, adapter_, xfer_track_)),
       pageout_(vm_) {
   vm_.set_low_memory_reclaimer([this](std::size_t want) { pageout_.EvictUntilFree(want); });
   if (config.model_driver_work) {
@@ -150,7 +151,7 @@ void Node::RegisterComponentGauges() {
 void Node::Crash() {
   GENIE_CHECK(!crashed_) << name_ << ": Crash() on an already-crashed node";
   if (trace_ != nullptr) {
-    trace_->Instant(name_ + ".xfer", "crash -> e" + std::to_string(epoch_ + 1), "crash",
+    trace_->Instant(xfer_track_, "crash -> e" + std::to_string(epoch_ + 1), "crash",
                     engine_->now());
   }
   // The observer fires BEFORE any state is discarded so a flight recorder
@@ -191,7 +192,7 @@ void Node::Restart() {
   adapter_.Restart();
   reliable_->OnRestart();
   if (trace_ != nullptr) {
-    trace_->Instant(name_ + ".xfer", "restart e" + std::to_string(epoch_), "crash",
+    trace_->Instant(xfer_track_, "restart e" + std::to_string(epoch_), "crash",
                     engine_->now());
   }
   if (restart_observer_) {

@@ -127,13 +127,15 @@ class Node {
     vm_.set_trace(trace);
     reliable_->set_trace(trace);
     if (trace != nullptr) {
-      trace->RegisterNode(this, name_ + ".xfer");
+      trace->RegisterNode(this, xfer_track_);
       trace->RegisterNode(this, name_ + ".cpu");
       trace->RegisterNode(this, name_ + ".nic.wire");
       trace->set_clock([this] { return engine_->now(); });
     }
   }
   TraceLog* trace() { return trace_; }
+  // "<name>.xfer": the track every per-transfer span of this node lands on.
+  const std::string& xfer_track() const { return xfer_track_; }
 
   // --- Crash-stop node failures & epoch-fenced restart ---
   //
@@ -192,6 +194,7 @@ class Node {
 
   Engine* engine_;
   std::string name_;
+  std::string xfer_track_;
   CostModel cost_;
   MetricsRegistry metrics_;
   Vm vm_;

@@ -24,12 +24,6 @@ ReliableDelivery::ReliableDelivery(Engine& engine, Adapter& adapter, std::string
   });
 }
 
-void ReliableDelivery::Instant(const std::string& text, std::uint64_t flow) {
-  if (trace_ != nullptr) {
-    trace_->Instant(xfer_track_, text, "reliable", engine_->now(), flow);
-  }
-}
-
 void ReliableDelivery::set_metrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     ack_rtt_ = nullptr;
@@ -98,8 +92,8 @@ void ReliableDelivery::ResolveAcked(WindowEntry& entry) {
     // ack arrival. Earlier attempts already emitted theirs when they timed
     // out (RetransmitOrGiveUp), so the critical-path classifier sees one
     // ack_wait span per attempt.
-    trace_->Span(xfer_track_, entry.label + ".ack_wait", "reliable", entry.last_tx_end, now,
-                 entry.flow);
+    trace_->Span(xfer_track_, entry.key, TraceStage::kAckWait, "reliable", entry.last_tx_end,
+                 now, entry.flow);
   }
   if (ack_rtt_ != nullptr) {
     // last_tx_end == 0 means the ack beat the first transmit's completion
@@ -183,7 +177,8 @@ void ReliableDelivery::RetransmitOrGiveUp(std::uint64_t channel, std::uint64_t s
   const SimTime now = engine_->now();
   if (trace_ != nullptr && e->last_tx_end > 0 && now > e->last_tx_end) {
     // Time parked between the attempt leaving the wire and this escalation.
-    trace_->Span(xfer_track_, e->label + ".ack_wait", "reliable", e->last_tx_end, now, e->flow);
+    trace_->Span(xfer_track_, e->key, TraceStage::kAckWait, "reliable", e->last_tx_end, now,
+                 e->flow);
   }
   if (e->token != nullptr && e->token->cancelled) {
     e->result = WindowEntry::kCancelled;
@@ -206,9 +201,12 @@ void ReliableDelivery::RetransmitOrGiveUp(std::uint64_t channel, std::uint64_t s
   if (retransmit_delay_ != nullptr && e->last_tx_end > 0) {
     retransmit_delay_->Add(SimTimeToMicros(now - e->last_tx_end));
   }
-  Instant(e->label + " retransmit(" + (from_nack ? "nack" : "timeout") + ") seq " +
-              std::to_string(seq) + " attempt " + std::to_string(e->attempts + 1),
-          e->flow);
+  Instant(
+      [&] {
+        return TransferLabel(e->key) + " retransmit(" + (from_nack ? "nack" : "timeout") +
+               ") seq " + std::to_string(seq) + " attempt " + std::to_string(e->attempts + 1);
+      },
+      e->flow);
   if (!from_nack) {
     e->timeout = std::min<SimTime>(
         options_.max_timeout, static_cast<SimTime>(static_cast<double>(e->timeout) *
@@ -230,7 +228,7 @@ Task<void> ReliableDelivery::RetransmitEntry(std::uint64_t channel, std::uint64_
     const SimTime delay_start = engine_->now();
     co_await Delay(*engine_, options_.nack_delay);
     if (trace_ != nullptr) {
-      trace_->Span(xfer_track_, e->label + ".nack_delay", "reliable", delay_start,
+      trace_->Span(xfer_track_, e->key, TraceStage::kNackDelay, "reliable", delay_start,
                    engine_->now(), e->flow);
     }
     if (e->result != WindowEntry::kPending ||
@@ -269,7 +267,7 @@ Task<void> ReliableDelivery::RetransmitEntry(std::uint64_t channel, std::uint64_
 }
 
 Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
-    std::uint64_t channel, IoVec iov, std::uint32_t header, std::uint32_t tag, std::string label,
+    std::uint64_t channel, IoVec iov, std::uint32_t header, std::uint32_t tag, TransferKey key,
     std::shared_ptr<CancelToken> token, std::uint64_t flow) {
   GENIE_CHECK(options_.arq) << "TransmitReliably with ARQ disabled";
   ++stats_.sequenced_frames;
@@ -302,7 +300,7 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
       co_return report;
     }
     if (Resyncing(channel)) {
-      if (!co_await AwaitResync(channel, token, label, flow)) {
+      if (!co_await AwaitResync(channel, token, key, flow)) {
         report.outcome = TxOutcome::kCancelled;
         ++stats_.cancelled_transmits;
         co_return report;
@@ -324,8 +322,8 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
     } while (window_full() && !crashed_ && (token == nullptr || !token->cancelled) &&
              !Resyncing(channel));
     if (trace_ != nullptr && engine_->now() > stall_start) {
-      trace_->Span(xfer_track_, label + ".window_stall", "reliable", stall_start, engine_->now(),
-                   flow);
+      trace_->Span(xfer_track_, key, TraceStage::kWindowStall, "reliable", stall_start,
+                   engine_->now(), flow);
     }
   }
 
@@ -335,7 +333,7 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
   e->iov = iov;
   e->header = header;
   e->tag = tag;
-  e->label = label;
+  e->key = key;
   e->flow = flow;
   e->token = token;
   e->timeout = options_.initial_timeout;
@@ -393,9 +391,12 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
     case WindowEntry::kGiveUp:
       report.outcome = TxOutcome::kGiveUp;
       ++stats_.giveups;
-      Instant(label + " giveup seq " + std::to_string(seq) + " after " +
-                  std::to_string(e->attempts) + " attempts",
-              flow);
+      Instant(
+          [&] {
+            return TransferLabel(key) + " giveup seq " + std::to_string(seq) + " after " +
+                   std::to_string(e->attempts) + " attempts";
+          },
+          flow);
       break;
     case WindowEntry::kCrashed:
       report.outcome = TxOutcome::kPeerCrashed;
@@ -417,12 +418,13 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
   co_return report;
 }
 
-std::uint64_t ReliableDelivery::Watch(std::string label, std::function<WatchVerdict()> on_expire) {
+std::uint64_t ReliableDelivery::Watch(const TransferKey& key,
+                                      std::function<WatchVerdict()> on_expire) {
   const std::uint64_t id = next_watch_id_++;
   if (!watchdog_enabled()) {
     return id;  // No-op registration keeps call sites branch-free.
   }
-  watched_.emplace(id, Watched{std::move(label), std::move(on_expire),
+  watched_.emplace(id, Watched{key, std::move(on_expire),
                                engine_->now() + options_.watchdog_timeout});
   ArmScan();
   return id;
@@ -458,7 +460,7 @@ void ReliableDelivery::RunScan() {
     }
     // The callback may Unwatch() arbitrary entries (including this one), so
     // keep what we need before invoking it.
-    const std::string label = it->second.label;
+    const TransferKey key = it->second.key;
     const WatchVerdict verdict = it->second.on_expire();
     it = watched_.find(id);
     switch (verdict) {
@@ -469,12 +471,12 @@ void ReliableDelivery::RunScan() {
         break;
       case WatchVerdict::kCancelled:
         ++stats_.watchdog_cancels;
-        Instant(label + " watchdog cancel");
+        Instant([&] { return TransferLabel(key) + " watchdog cancel"; });
         if (it != watched_.end()) {
           watched_.erase(it);
         }
         if (cancel_hook_) {
-          cancel_hook_(label);
+          cancel_hook_(key);
         }
         break;
       case WatchVerdict::kBusy:
@@ -486,10 +488,12 @@ void ReliableDelivery::RunScan() {
   }
 }
 
-void ReliableDelivery::RecordFallback(const std::string& label, std::string_view from,
+void ReliableDelivery::RecordFallback(const TransferKey& key, std::string_view from,
                                       std::string_view to) {
   ++stats_.fallbacks;
-  Instant(label + " fallback " + std::string(from) + " -> " + std::string(to));
+  Instant([&] {
+    return TransferLabel(key) + " fallback " + std::string(from) + " -> " + std::string(to);
+  });
 }
 
 std::uint32_t ReliableDelivery::PeerEpoch(std::uint64_t channel) const {
@@ -504,7 +508,7 @@ bool ReliableDelivery::Resyncing(std::uint64_t channel) const {
 
 Task<bool> ReliableDelivery::AwaitResync(std::uint64_t channel,
                                          std::shared_ptr<CancelToken> token,
-                                         const std::string& label, std::uint64_t flow) {
+                                         const TransferKey& key, std::uint64_t flow) {
   for (;;) {
     auto it = resync_.find(channel);
     if (it == resync_.end() || !it->second->resyncing) {
@@ -521,8 +525,8 @@ Task<bool> ReliableDelivery::AwaitResync(std::uint64_t channel,
     co_await barrier.open.Wait();
     barrier.open.Reset();
     if (trace_ != nullptr && engine_->now() > stall_start) {
-      trace_->Span(xfer_track_, label + ".resync_stall", "reliable", stall_start, engine_->now(),
-                   flow);
+      trace_->Span(xfer_track_, key, TraceStage::kResyncStall, "reliable", stall_start,
+                   engine_->now(), flow);
     }
   }
 }
@@ -534,8 +538,9 @@ void ReliableDelivery::OnFence(std::uint64_t channel, std::uint32_t peer_epoch) 
   ++stats_.epoch_bumps;
   peer_epoch_[channel] = peer_epoch;
   adapter_->NotePeerEpoch(channel, peer_epoch);
-  Instant("peer epoch bump ch " + std::to_string(channel) + " -> e" +
-          std::to_string(peer_epoch));
+  Instant([&] {
+    return "peer epoch bump ch " + std::to_string(channel) + " -> e" + std::to_string(peer_epoch);
+  });
   AbortChannel(channel);
   StartResync(channel);
 }
@@ -593,7 +598,7 @@ void ReliableDelivery::SendResyncAttempt(std::uint64_t channel) {
       // truly died). Open the barrier anyway: parked transfers proceed and
       // fail through the normal give-up path, so the simulation still goes
       // quiescent instead of wedging on the barrier forever.
-      Instant("resync giveup ch " + std::to_string(channel));
+      Instant([&] { return "resync giveup ch " + std::to_string(channel); });
       ReleaseResync(channel);
       return;
     }
@@ -618,8 +623,10 @@ void ReliableDelivery::OnResyncAck(std::uint64_t channel, std::uint32_t peer_epo
     adapter_->NotePeerEpoch(channel, peer_epoch);
   }
   if (Resyncing(channel)) {
-    Instant("resync complete ch " + std::to_string(channel) + " peer e" +
-            std::to_string(peer_epoch));
+    Instant([&] {
+      return "resync complete ch " + std::to_string(channel) + " peer e" +
+             std::to_string(peer_epoch);
+    });
     ReleaseResync(channel);
   }
 }

@@ -14,7 +14,7 @@
 // slides over the acked prefix. Per-seq control cells remain for nacks
 // (CRC failure, no posted buffer) and for re-acks of suppressed duplicates.
 // A transfer that arrives while the window is full parks in an admission
-// queue (traced as a `.window_stall` span); at window 1 that admits one
+// queue (traced as a window_stall span); at window 1 that admits one
 // transfer per channel at a time. The receiver's dedup state absorbs the
 // duplicates that retransmission inevitably creates, so the host-visible
 // stream is exactly-once even though the wire is not. Both peers must be
@@ -146,10 +146,11 @@ class ReliableDelivery {
   // Transmits `iov` on `channel` with ARQ and co_returns once the frame is
   // acked, retries are exhausted, or `token` is cancelled. The caller keeps
   // `iov`'s backing pages alive (and unmutated) until this returns — the
-  // retransmit re-reads them. `flow` (optional) stamps every trace record
-  // this transmission produces with the transfer's causal flow id.
+  // retransmit re-reads them. `key` names the transfer in trace records;
+  // `flow` (optional) stamps every trace record this transmission produces
+  // with the transfer's causal flow id.
   Task<TxReport> TransmitReliably(std::uint64_t channel, IoVec iov, std::uint32_t header,
-                                  std::uint32_t tag, std::string label,
+                                  std::uint32_t tag, TransferKey key,
                                   std::shared_ptr<CancelToken> token, std::uint64_t flow = 0);
 
   // Registers an in-flight transfer with the watchdog. `on_expire` runs from
@@ -157,11 +158,11 @@ class ReliableDelivery {
   // push the deadline out by a full timeout. Returns an id for Unwatch()
   // (valid — and ignored — even when the watchdog is off). Unwatch is
   // idempotent: the cancel callback may already have retired the entry.
-  std::uint64_t Watch(std::string label, std::function<WatchVerdict()> on_expire);
+  std::uint64_t Watch(const TransferKey& key, std::function<WatchVerdict()> on_expire);
   void Unwatch(std::uint64_t id);
 
   // Endpoint-side accounting hook for a semantics downgrade.
-  void RecordFallback(const std::string& label, std::string_view from, std::string_view to);
+  void RecordFallback(const TransferKey& key, std::string_view from, std::string_view to);
 
   const Stats& stats() const { return stats_; }
   std::size_t watched() const { return watched_.size(); }
@@ -177,7 +178,7 @@ class ReliableDelivery {
   // Optional hook invoked when the watchdog cancels a transfer (after the
   // cancel callback has run). The flight recorder uses it to dump the trace
   // ring at the moment of failure.
-  void set_cancel_hook(std::function<void(const std::string& label)> hook) {
+  void set_cancel_hook(std::function<void(const TransferKey& key)> hook) {
     cancel_hook_ = std::move(hook);
   }
 
@@ -203,7 +204,7 @@ class ReliableDelivery {
 
  private:
   struct Watched {
-    std::string label;
+    TransferKey key;
     std::function<WatchVerdict()> on_expire;
     SimTime deadline = 0;
   };
@@ -220,7 +221,7 @@ class ReliableDelivery {
     IoVec iov;
     std::uint32_t header = 0;
     std::uint32_t tag = 0;
-    std::string label;
+    TransferKey key;
     std::uint64_t flow = 0;
     std::shared_ptr<CancelToken> token;
     std::shared_ptr<TxControl> ctl;  // latest attempt on the wire
@@ -275,7 +276,15 @@ class ReliableDelivery {
   void ArmEntryTimer(std::uint64_t channel, std::uint64_t seq);
   void ArmScan();
   void RunScan();
-  void Instant(const std::string& text, std::uint64_t flow = 0);
+  // Records a free-text instant on the transfer track. `text` returns the
+  // string and is called only with tracing on, so an untraced run formats
+  // nothing.
+  template <typename TextFn>
+  void Instant(TextFn text, std::uint64_t flow = 0) {
+    if (trace_ != nullptr) {
+      trace_->Instant(xfer_track_, text(), "reliable", engine_->now(), flow);
+    }
+  }
 
   // --- Epoch fencing machinery ---
   // Fence cell from the peer adapter: the peer rebooted into `peer_epoch`.
@@ -289,7 +298,7 @@ class ReliableDelivery {
   // Parks until any resync handshake on `channel` completes; returns false
   // if the transfer was cancelled while parked.
   Task<bool> AwaitResync(std::uint64_t channel, std::shared_ptr<CancelToken> token,
-                         const std::string& label, std::uint64_t flow);
+                         const TransferKey& key, std::uint64_t flow);
 
   Engine* engine_;
   Adapter* adapter_;
@@ -297,7 +306,7 @@ class ReliableDelivery {
   TraceLog* trace_ = nullptr;
   LatencyHistogram* ack_rtt_ = nullptr;
   LatencyHistogram* retransmit_delay_ = nullptr;
-  std::function<void(const std::string& label)> cancel_hook_;
+  std::function<void(const TransferKey& key)> cancel_hook_;
   ReliableOptions options_;
   TimerSet timers_;
   SplitMix64 rng_;

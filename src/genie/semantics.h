@@ -70,7 +70,29 @@ constexpr Semantics BasicOf(Semantics s) {
   }
 }
 
-std::string_view SemanticsName(Semantics s);
+// Header-only so the trace layer can format transfer labels without linking
+// the endpoint library.
+constexpr std::string_view SemanticsName(Semantics s) {
+  switch (s) {
+    case Semantics::kCopy:
+      return "copy";
+    case Semantics::kEmulatedCopy:
+      return "emulated copy";
+    case Semantics::kShare:
+      return "share";
+    case Semantics::kEmulatedShare:
+      return "emulated share";
+    case Semantics::kMove:
+      return "move";
+    case Semantics::kEmulatedMove:
+      return "emulated move";
+    case Semantics::kWeakMove:
+      return "weak move";
+    case Semantics::kEmulatedWeakMove:
+      return "emulated weak move";
+  }
+  return "?";
+}
 
 }  // namespace genie
 

@@ -101,7 +101,8 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
     if (trace_ != nullptr && engine_.now() > credit_start) {
       // Only a wait that actually suspended gets a span; an immediately
       // available credit leaves the trace untouched.
-      trace_->Span(name_ + ".wire", "credit_wait", "net", credit_start, engine_.now(), flow);
+      trace_->Span(name_ + ".wire", TransferKey{}, TraceStage::kCreditWait, "net", credit_start,
+                   engine_.now(), flow);
     }
     if (ctl != nullptr && ctl->aborted) {
       co_return;  // Watchdog broke a credit deadlock; nothing went out.
@@ -133,7 +134,8 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
   }
   if (trace_ != nullptr && engine_.now() > arb_start) {
     // Only an arbitration wait that actually suspended gets a span.
-    trace_->Span(name_ + ".wire", "fabric_wait", "net", arb_start, engine_.now(), flow);
+    trace_->Span(name_ + ".wire", TransferKey{}, TraceStage::kFabricWait, "net", arb_start,
+                 engine_.now(), flow);
   }
   // Injected short transfer: the device stops after `arg` bytes (at least
   // one; default half the frame), as when cell loss truncates an AAL5 frame.
@@ -278,7 +280,7 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
   }
   if (trace_ != nullptr) {
     trace_->Span(name_ + ".wire", "frame " + std::to_string(total) + "B", "net", wire_start,
-                 engine_.now(), flow);
+                 engine_.now(), flow, TraceStage::kWire);
   }
   ReleaseLinks(path, path.nlinks);
   ++frames_sent_;

@@ -5,24 +5,10 @@
 
 namespace genie {
 
-namespace {
-
-// "out#3[emulated copy].prepare" -> "out#3[emulated copy]"; empty when the
-// name is not a stage span of an endpoint transfer.
-std::string TransferLabelOf(const std::string& name) {
-  const std::size_t bracket = name.find(']');
-  if (bracket == std::string::npos || name.find('#') == std::string::npos) {
-    return std::string();
-  }
-  return name.substr(0, bracket + 1);
-}
-
-}  // namespace
-
 SimTime CausalGraph::end() const {
   SimTime latest = start();
   for (const CausalEvent& e : events) {
-    latest = std::max(latest, e.end);
+    latest = std::max(latest, e->end);
   }
   return latest;
 }
@@ -41,48 +27,37 @@ CausalGraph BuildCausalGraph(const TraceLog& log, std::uint64_t flow) {
   CausalGraph graph;
   graph.flow = flow;
 
-  // Pass 1: events stamped with the flow id. Collect the sender label (the
-  // first "out#..." stage span) and every receiver input label whose events
-  // carry the flow — those inputs' unstamped events are pulled in below.
-  std::set<std::string> input_labels;
+  // Pass 1: events stamped with the flow id. Collect the sender key (the
+  // first output event) and every receiver input whose events carry the
+  // flow — those inputs' unstamped events are pulled in below.
+  std::vector<TransferKey> inputs;
   for (const TraceLog::Event& e : log.events()) {
     if (e.flow != flow) {
       continue;
     }
-    graph.events.push_back(
-        CausalEvent{e.track, e.name, e.category, e.start, e.end, e.instant, false});
-    const std::string label = TransferLabelOf(e.name);
-    if (label.empty()) {
+    graph.events.push_back(CausalEvent{&e, false});
+    if (!e.key) {
       continue;
     }
-    if (label.compare(0, 4, "out#") == 0 && graph.label.empty()) {
-      graph.label = label;
-    } else if (label.compare(0, 3, "in#") == 0) {
-      input_labels.insert(label);
+    if (e.key.dir == TransferDir::kOut) {
+      if (!graph.key) {
+        graph.key = e.key;
+      }
+    } else if (std::find(inputs.begin(), inputs.end(), e.key) == inputs.end()) {
+      inputs.push_back(e.key);
     }
   }
 
-  // Pass 2 (label join): the receiver posts its input before any sender
+  // Pass 2 (key join): the receiver posts its input before any sender
   // exists, so the prepare span — and any VM instants keyed to the input's
-  // context — carry flow 0. They share the input's label prefix with the
+  // context — carry flow 0. They share the input's key with the
   // flow-stamped dispose, which names them as part of this transfer.
-  if (!input_labels.empty()) {
+  if (!inputs.empty()) {
     for (const TraceLog::Event& e : log.events()) {
-      if (e.flow != 0) {
-        continue;
+      if (e.flow == 0 && e.key &&
+          std::find(inputs.begin(), inputs.end(), e.key) != inputs.end()) {
+        graph.events.push_back(CausalEvent{&e, true});
       }
-      const std::string label = TransferLabelOf(e.name);
-      if (!label.empty() && input_labels.count(label) != 0) {
-        graph.events.push_back(
-            CausalEvent{e.track, e.name, e.category, e.start, e.end, e.instant, true});
-      }
-    }
-  }
-
-  if (!graph.label.empty()) {
-    const std::size_t open = graph.label.find('[');
-    if (open != std::string::npos && graph.label.back() == ']') {
-      graph.semantics = graph.label.substr(open + 1, graph.label.size() - open - 2);
     }
   }
 
@@ -90,10 +65,10 @@ CausalGraph BuildCausalGraph(const TraceLog& log, std::uint64_t flow) {
   // discrete-event simulation an effect is never recorded before its cause.
   std::stable_sort(graph.events.begin(), graph.events.end(),
                    [](const CausalEvent& a, const CausalEvent& b) {
-                     if (a.start != b.start) {
-                       return a.start < b.start;
+                     if (a->start != b->start) {
+                       return a->start < b->start;
                      }
-                     return a.end < b.end;
+                     return a->end < b->end;
                    });
   return graph;
 }

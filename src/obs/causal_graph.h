@@ -8,14 +8,15 @@
 //
 // Receiver prepares are the one stage a flow id cannot reach: the input is
 // posted before any sender exists, so its prepare span carries flow 0. It is
-// joined by label instead — the receiver's "in#<k>[...].dispose" span *does*
-// carry the flow id, and every event sharing that "in#<k>[...]" label prefix
-// belongs to the same input operation.
+// joined by transfer key instead — the receiver's dispose span *does* carry
+// the flow id, and every event carrying that dispose's TransferKey (its
+// prepare, and the VM instants of its context) belongs to the same input
+// operation. The key names the receiving endpoint as well as the input's
+// number, so inputs of different endpoints never join each other's flows.
 #ifndef GENIE_SRC_OBS_CAUSAL_GRAPH_H_
 #define GENIE_SRC_OBS_CAUSAL_GRAPH_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/trace.h"
@@ -23,16 +24,15 @@
 namespace genie {
 
 // One node of a flow's causal graph: a trace event plus where it came from.
+// The event lives in the log the graph was built from, which must outlive
+// the graph and stay unmodified while the graph is in use.
 struct CausalEvent {
-  std::string track;
-  std::string name;
-  std::string category;
-  SimTime start = 0;
-  SimTime end = 0;
-  bool instant = false;
-  // True for events pulled in by the label join (receiver prepare) rather
+  const TraceLog::Event* event = nullptr;
+  // True for events pulled in by the key join (receiver prepare) rather
   // than a flow stamp.
   bool label_joined = false;
+
+  const TraceLog::Event* operator->() const { return event; }
 };
 
 // A flow's reconstructed causal graph. Events are sorted by (start, end,
@@ -41,14 +41,12 @@ struct CausalEvent {
 // than its cause.
 struct CausalGraph {
   std::uint64_t flow = 0;
-  // "out#<id>[<semantics>]" of the originating output, empty if the flow has
-  // no endpoint-level spans (e.g. a raw adapter test).
-  std::string label;
-  // Semantics name parsed out of the label's brackets, empty when unknown.
-  std::string semantics;
+  // The originating output's key; empty if the flow has no endpoint-level
+  // spans (e.g. a raw adapter test).
+  TransferKey key;
   std::vector<CausalEvent> events;
 
-  SimTime start() const { return events.empty() ? 0 : events.front().start; }
+  SimTime start() const { return events.empty() ? 0 : events.front()->start; }
   SimTime end() const;
   SimTime makespan() const { return end() - start(); }
 };
@@ -57,7 +55,7 @@ struct CausalGraph {
 std::vector<std::uint64_t> Flows(const TraceLog& log);
 
 // Reconstructs `flow`'s graph from `log`: every event stamped with the flow
-// id, plus (label join) every event of any receiver input whose dispose
+// id, plus (key join) every event of any receiver input whose dispose
 // carries it.
 CausalGraph BuildCausalGraph(const TraceLog& log, std::uint64_t flow);
 

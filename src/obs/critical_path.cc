@@ -11,13 +11,28 @@ namespace genie {
 
 namespace {
 
-bool EndsWith(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool IsWireSpan(const CausalEvent& e) {
-  return !e.instant && e.category == "net" && e.name.compare(0, 6, "frame ") == 0;
+// The stage a span measures, before the first-wire/last-ack-wait refinement.
+Stage StageOf(const TraceLog::Event& e) {
+  switch (e.stage) {
+    case TraceStage::kWire:
+      return Stage::kWire;
+    case TraceStage::kCreditWait:
+      return Stage::kCreditWait;
+    case TraceStage::kFabricWait:
+      return Stage::kFabricWait;
+    case TraceStage::kAckWait:
+      return Stage::kAckWait;
+    case TraceStage::kNackDelay:
+      return Stage::kRetransmit;
+    case TraceStage::kWindowStall:
+      return Stage::kWindowStall;
+    case TraceStage::kDispose:
+      return Stage::kDispose;
+    case TraceStage::kPrepare:
+      return e.key.dir == TransferDir::kIn ? Stage::kReceiverPrepare : Stage::kPrepare;
+    default:
+      return Stage::kOther;
+  }
 }
 
 // Higher rank claims an instant covered by several spans. Retransmission
@@ -94,47 +109,35 @@ std::string_view StageName(Stage stage) {
 FlowBreakdown AttributeStages(const CausalGraph& graph) {
   FlowBreakdown out;
   out.flow = graph.flow;
-  out.label = graph.label;
-  out.semantics = graph.semantics;
+  if (graph.key) {
+    out.label = TransferLabel(graph.key);
+    out.semantics = SemanticsName(graph.key.sem);
+  }
   out.start = graph.start();
   out.makespan = graph.makespan();
 
   // Classify every span. Wire spans after the first, and ack waits before
   // the last, are loss recovery; graph.events is causally ordered, so "first"
   // and "last" are well defined.
-  std::size_t ack_waits = 0;
-  for (const CausalEvent& e : graph.events) {
-    if (!e.instant && EndsWith(e.name, ".ack_wait")) {
-      ++ack_waits;
-    }
-  }
+  const std::size_t ack_waits =
+      std::count_if(graph.events.begin(), graph.events.end(), [](const CausalEvent& e) {
+        return !e->instant && e->stage == TraceStage::kAckWait;
+      });
   std::vector<ClassifiedSpan> spans;
   bool saw_wire = false;
   std::size_t ack_wait_index = 0;
   for (const CausalEvent& e : graph.events) {
-    if (e.instant || e.end <= e.start) {
+    if (e->instant || e->end <= e->start) {
       continue;
     }
-    Stage stage = Stage::kOther;
-    if (IsWireSpan(e)) {
+    Stage stage = StageOf(*e.event);
+    if (stage == Stage::kWire) {
       stage = saw_wire ? Stage::kRetransmit : Stage::kWire;
       saw_wire = true;
-    } else if (e.name == "credit_wait") {
-      stage = Stage::kCreditWait;
-    } else if (e.name == "fabric_wait") {
-      stage = Stage::kFabricWait;
-    } else if (EndsWith(e.name, ".ack_wait")) {
-      stage = ++ack_wait_index == ack_waits ? Stage::kAckWait : Stage::kRetransmit;
-    } else if (EndsWith(e.name, ".nack_delay")) {
+    } else if (stage == Stage::kAckWait && ++ack_wait_index != ack_waits) {
       stage = Stage::kRetransmit;
-    } else if (EndsWith(e.name, ".window_stall")) {
-      stage = Stage::kWindowStall;
-    } else if (EndsWith(e.name, ".dispose")) {
-      stage = Stage::kDispose;
-    } else if (EndsWith(e.name, ".prepare")) {
-      stage = e.name.compare(0, 3, "in#") == 0 ? Stage::kReceiverPrepare : Stage::kPrepare;
     }
-    spans.push_back(ClassifiedSpan{e.start, e.end, stage});
+    spans.push_back(ClassifiedSpan{e->start, e->end, stage});
   }
 
   // Priority sweep over the flow's elementary intervals: each interval is

@@ -8,7 +8,9 @@
 // at every instant the highest-priority overlapping span claims the time, and
 // instants not covered by any span fall into "other". The per-stage totals
 // therefore sum *exactly* to the flow's makespan — the trace-derived table is
-// directly comparable against the CostModel's analytic Table 6.
+// directly comparable against the CostModel's analytic Table 6. Spans are
+// classified by their TraceStage (and a prepare by its key's direction),
+// never by name.
 //
 // Retransmission attribution: the first wire span of a flow is real delivery
 // (kWire); every later wire span, every ack wait except the last, and every
@@ -50,8 +52,10 @@ std::string_view StageName(Stage stage);
 // One flow's attributed latency. stage_ns sums exactly to makespan.
 struct FlowBreakdown {
   std::uint64_t flow = 0;
-  std::string label;      // "out#<id>[<semantics>]", empty if unknown
-  std::string semantics;  // parsed from the label, empty if unknown
+  // Display label of the originating output's key (TransferLabel:
+  // "out#<id>[<semantics>]") and its semantics name; both empty if unknown.
+  std::string label;
+  std::string semantics;
   SimTime start = 0;
   SimTime makespan = 0;
   std::array<SimTime, kStageCount> stage_ns{};

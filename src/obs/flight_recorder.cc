@@ -44,7 +44,7 @@ void FlightRecorder::Dump(std::ostream& os, std::string_view reason) const {
     os << "\n{\"track\":";
     WriteJsonString(os, e.track);
     os << ",\"name\":";
-    WriteJsonString(os, e.name);
+    WriteJsonString(os, e.Name());
     os << ",\"cat\":";
     WriteJsonString(os, e.category);
     os << ",\"ts_us\":";

@@ -1,33 +1,24 @@
 #include "src/obs/trace_scope.h"
 
-#include <utility>
-
 namespace genie {
 
-TraceScope::TraceScope(TraceLog* log, std::string track, std::string name,
-                       std::string category, std::uint64_t flow)
-    : log_(log),
-      track_(std::move(track)),
-      name_(std::move(name)),
-      category_(std::move(category)),
-      flow_(flow) {
+TraceScope::TraceScope(TraceLog* log, const std::string& track, const TransferKey& key,
+                       TraceStage stage, std::uint64_t flow)
+    : log_(log), track_(&track), key_(key), stage_(stage), flow_(flow) {
   if (log_ != nullptr) {
     start_ = log_->Now();
-  } else {
-    ended_ = true;
   }
 }
 
 void TraceScope::End() {
-  if (ended_) {
+  if (log_ == nullptr) {
     return;
   }
-  ended_ = true;
-  log_->Span(track_, name_, category_, start_, log_->Now(), flow_);
+  log_->Span(*track_, key_, stage_, "xfer", start_, log_->Now(), flow_);
+  log_ = nullptr;
 }
 
-ScopedTraceContext::ScopedTraceContext(TraceLog* log, const std::string& context)
-    : log_(log) {
+ScopedTraceContext::ScopedTraceContext(TraceLog* log, const TransferKey& context) : log_(log) {
   if (log_ != nullptr) {
     previous_ = log_->context();
     log_->set_context(context);
@@ -36,7 +27,7 @@ ScopedTraceContext::ScopedTraceContext(TraceLog* log, const std::string& context
 
 ScopedTraceContext::~ScopedTraceContext() {
   if (log_ != nullptr) {
-    log_->set_context(std::move(previous_));
+    log_->set_context(previous_);
   }
 }
 

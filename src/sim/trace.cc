@@ -1,9 +1,35 @@
 #include "src/sim/trace.h"
 
+#include <iterator>
+
 #include "src/util/check.h"
 #include "src/util/json.h"
 
 namespace genie {
+
+std::string TransferLabel(const TransferKey& key) {
+  return (key.dir == TransferDir::kIn ? "in#" : "out#") + std::to_string(key.id) + "[" +
+         std::string(SemanticsName(key.sem)) + "]";
+}
+
+std::string_view TraceStageName(TraceStage stage) {
+  // Indexed by TraceStage, grouped as its declaration is.
+  static constexpr std::string_view kNames[] = {
+      "",
+      "prepare",     "transmit",    "dispose",
+      "ack_wait",    "nack_delay",  "window_stall",  "resync_stall",
+      "credit_wait", "fabric_wait", "wire",
+      "pagein",      "tcow_copy",   "tcow_reenable", "cow_copy",     "zero_fill"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(TraceStage::kZeroFill) + 1);
+  return kNames[static_cast<std::size_t>(stage)];
+}
+
+std::string TraceLog::Event::Name() const {
+  if (!text.empty() || stage == TraceStage::kNone) {
+    return text;
+  }
+  return (key ? TransferLabel(key) + "." : std::string()) + std::string(TraceStageName(stage));
+}
 
 void TraceLog::Push(Event e) {
   if (capacity_ != 0 && events_.size() >= 2 * capacity_) {
@@ -14,31 +40,37 @@ void TraceLog::Push(Event e) {
   events_.push_back(std::move(e));
 }
 
-void TraceLog::Span(const std::string& track, const std::string& name,
-                    const std::string& category, SimTime start, SimTime end) {
-  Span(track, name, category, start, end, /*flow=*/0);
+void TraceLog::Span(const std::string& track, std::string text, const std::string& category,
+                    SimTime start, SimTime end, std::uint64_t flow, TraceStage stage) {
+  GENIE_CHECK_LE(start, end);
+  Push(Event{.track = track, .text = std::move(text), .category = category, .start = start,
+             .end = end, .flow = flow, .stage = stage});
 }
 
-void TraceLog::Span(const std::string& track, const std::string& name,
+void TraceLog::Span(const std::string& track, const TransferKey& key, TraceStage stage,
                     const std::string& category, SimTime start, SimTime end,
                     std::uint64_t flow) {
   GENIE_CHECK_LE(start, end);
-  Push(Event{track, name, category, start, end, false, flow});
+  Push(Event{.track = track, .category = category, .start = start, .end = end, .flow = flow,
+             .key = key, .stage = stage});
 }
 
-void TraceLog::Instant(const std::string& track, const std::string& name,
+void TraceLog::Instant(const std::string& track, std::string text, const std::string& category,
+                       SimTime at, std::uint64_t flow) {
+  Push(Event{.track = track, .text = std::move(text), .category = category, .start = at,
+             .end = at, .flow = flow, .instant = true});
+}
+
+void TraceLog::Instant(const std::string& track, const TransferKey& key, TraceStage stage,
                        const std::string& category, SimTime at) {
-  Instant(track, name, category, at, /*flow=*/0);
-}
-
-void TraceLog::Instant(const std::string& track, const std::string& name,
-                       const std::string& category, SimTime at, std::uint64_t flow) {
-  Push(Event{track, name, category, at, at, true, flow});
+  Push(Event{.track = track, .category = category, .start = at, .end = at, .key = key,
+             .stage = stage, .instant = true});
 }
 
 void TraceLog::Counter(const std::string& track, const std::string& name,
                        SimTime at, double value) {
-  Push(Event{track, name, "counter", at, at, false, 0, true, value});
+  Push(Event{.track = track, .text = name, .category = "counter", .start = at, .end = at,
+             .value = value, .counter = true});
 }
 
 void TraceLog::RegisterNode(const void* owner, const std::string& name) {
@@ -82,7 +114,7 @@ void TraceLog::WriteJson(std::ostream& os) const {
     first = false;
     const double ts_us = SimTimeToMicros(e.start);
     os << R"({"pid":1,"tid":)" << tids[e.track] << R"(,"ts":)" << ts_us << R"(,"name":)";
-    WriteJsonString(os, e.name);
+    WriteJsonString(os, e.Name());
     os << R"(,"cat":)";
     WriteJsonString(os, e.category);
     if (e.counter) {

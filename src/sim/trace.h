@@ -2,6 +2,11 @@
 // Chrome trace-event JSON (chrome://tracing, Perfetto). Tracks are free-form
 // strings (one per CPU, link, or actor); spans carry a name and category.
 //
+// Events the analyzers consume are typed: they carry the TransferKey of the
+// endpoint transfer they belong to and the TraceStage they measure, and their
+// display name ("out#1[copy].prepare") is formatted only when written out.
+// Everything else (drops, acks, crash marks) is a free-text event.
+//
 // Tracing is opt-in: a null/disabled TraceLog makes every hook a no-op.
 #ifndef GENIE_SRC_SIM_TRACE_H_
 #define GENIE_SRC_SIM_TRACE_H_
@@ -11,21 +16,62 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "src/genie/semantics.h"
 #include "src/util/units.h"
 
 namespace genie {
+
+enum class TransferDir : std::uint8_t { kOut, kIn };
+
+// Identity of one endpoint transfer: the endpoint (node and channel), its
+// per-endpoint transfer number, the direction and the semantics it was
+// labelled with. Two endpoints number their transfers independently, so only
+// the whole key — never the label — names one transfer within a log.
+struct TransferKey {
+  const void* node = nullptr;
+  std::uint64_t channel = 0;
+  std::uint64_t id = 0;  // 0 = no transfer
+  TransferDir dir = TransferDir::kOut;
+  Semantics sem = Semantics::kCopy;
+
+  explicit operator bool() const { return id != 0; }
+  bool operator==(const TransferKey&) const = default;
+};
+static_assert(std::is_trivially_copyable_v<TransferKey>);
+
+// "out#3[emulated copy]": the display label of `key`, the one place the label
+// format lives.
+std::string TransferLabel(const TransferKey& key);
+
+// What a typed event measures.
+enum class TraceStage : std::uint8_t {
+  kNone,  // free-text event
+  // Endpoint transfer phases.
+  kPrepare, kTransmit, kDispose,
+  // Reliable-delivery waits.
+  kAckWait, kNackDelay, kWindowStall, kResyncStall,
+  // Adapter: flow-control credit, link arbitration, wire occupancy.
+  kCreditWait, kFabricWait, kWire,
+  // VM fault-handler work done on a transfer's behalf.
+  kPagein, kTcowCopy, kTcowReenable, kCowCopy, kZeroFill,
+};
+
+std::string_view TraceStageName(TraceStage stage);
 
 class TraceLog {
  public:
   struct Event {
     std::string track;
-    std::string name;
+    // Free-text name; empty for typed events, whose name is formatted from
+    // `key` and `stage` (see Name()).
+    std::string text{};
     std::string category;
     SimTime start = 0;
     SimTime end = 0;  // == start for instants
-    bool instant = false;
     // Causal flow id (0 = none). Spans of one end-to-end transfer — sender
     // stages, wire occupancy, receiver stages, ARQ control events — share a
     // flow id, which the causal-graph analyzer joins into one DAG and
@@ -33,23 +79,33 @@ class TraceLog {
     std::uint64_t flow = 0;
     // Counter samples render as Perfetto counter tracks ("ph":"C") — one
     // value per (track, name) series per timestamp. Counters carry flow 0 and
-    // no transfer-label prefix, so the causal-graph/critical-path analyzers
-    // ignore them.
-    bool counter = false;
+    // no transfer key, so the causal-graph/critical-path analyzers ignore
+    // them.
     double value = 0;
+    TransferKey key{};  // the transfer this event belongs to, if any
+    TraceStage stage = TraceStage::kNone;
+    bool instant = false;
+    bool counter = false;
+
+    // The display name: `text`, or "<label>.<stage>" for a typed event of a
+    // transfer, or "<stage>" for one outside any transfer.
+    std::string Name() const;
   };
 
-  // Records a completed span [start, end) on `track`.
-  void Span(const std::string& track, const std::string& name, const std::string& category,
-            SimTime start, SimTime end);
-  void Span(const std::string& track, const std::string& name, const std::string& category,
-            SimTime start, SimTime end, std::uint64_t flow);
+  // Records a completed span [start, end) on `track`. A free-text span may
+  // still name the stage it measures (the adapter's wire spans do).
+  void Span(const std::string& track, std::string text, const std::string& category,
+            SimTime start, SimTime end, std::uint64_t flow = 0,
+            TraceStage stage = TraceStage::kNone);
+  // Records `stage` of transfer `key` (an empty key: of no transfer).
+  void Span(const std::string& track, const TransferKey& key, TraceStage stage,
+            const std::string& category, SimTime start, SimTime end, std::uint64_t flow = 0);
 
   // Records an instantaneous event.
-  void Instant(const std::string& track, const std::string& name,
+  void Instant(const std::string& track, std::string text, const std::string& category,
+               SimTime at, std::uint64_t flow = 0);
+  void Instant(const std::string& track, const TransferKey& key, TraceStage stage,
                const std::string& category, SimTime at);
-  void Instant(const std::string& track, const std::string& name,
-               const std::string& category, SimTime at, std::uint64_t flow);
 
   // Records one sample of counter series `name` on `track`. Perfetto renders
   // consecutive samples of a series as a stepped area chart under the spans.
@@ -87,12 +143,12 @@ class TraceLog {
   void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
   SimTime Now() const { return clock_ ? clock_() : 0; }
 
-  // Current transfer context (e.g. "out#3[copy]"), managed RAII-style by
-  // ScopedTraceContext around a transfer's synchronous phases. Deeper layers
-  // (VM fault handler) prefix their instants with it, keying the event to
-  // the transfer that caused it. Empty outside any transfer.
-  const std::string& context() const { return context_; }
-  void set_context(std::string context) { context_ = std::move(context); }
+  // Current transfer context, managed RAII-style by ScopedTraceContext
+  // around a transfer's synchronous phases. Deeper layers (VM fault handler)
+  // key their instants with it, attributing the event to the transfer that
+  // caused it. Empty outside any transfer.
+  const TransferKey& context() const { return context_; }
+  void set_context(const TransferKey& context) { context_ = context; }
 
   // Writes the Chrome trace-event JSON array format. Timestamps are emitted
   // in microseconds (the trace-event unit). Spans with a flow id carry
@@ -107,7 +163,7 @@ class TraceLog {
   std::uint64_t dropped_events_ = 0;
   std::map<std::string, const void*> node_owners_;
   std::function<SimTime()> clock_;
-  std::string context_;
+  TransferKey context_;
 };
 
 }  // namespace genie

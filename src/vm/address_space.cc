@@ -289,7 +289,7 @@ MemoryObject::Lookup AddressSpace::LookupOrPageIn(MemoryObject& top, std::uint64
       }
       obj->InsertPage(index, frame);
       ++counters_.pageins;
-      TraceVmEvent("pagein");
+      TraceVmEvent(TraceStage::kPagein);
       return MemoryObject::Lookup{.frame = frame, .object = obj, .in_top = is_top};
     }
     is_top = false;
@@ -346,12 +346,12 @@ AccessResult AddressSpace::HandleFault(Vaddr va, bool for_write) {
           pm.Free(old);  // Zombie until the output drops its reference.
           MapPage(base, copy, Prot::kReadWrite);
           ++counters_.tcow_copies;
-          TraceVmEvent("tcow_copy");
+          TraceVmEvent(TraceStage::kTcowCopy);
         } else {
           // Output already completed: simply re-enable writing (no copy).
           MapPage(base, found.frame, Prot::kReadWrite);
           ++counters_.tcow_reenables;
-          TraceVmEvent("tcow_reenable");
+          TraceVmEvent(TraceStage::kTcowReenable);
         }
       } else {
         // Read fault on a resident page (e.g. unmapped by pageout path).
@@ -372,7 +372,7 @@ AccessResult AddressSpace::HandleFault(Vaddr va, bool for_write) {
         top.InsertPage(index, copy);
         MapPage(base, copy, Prot::kReadWrite);
         ++counters_.cow_copies;
-        TraceVmEvent("cow_copy");
+        TraceVmEvent(TraceStage::kCowCopy);
       } else {
         MapPage(base, found.frame, Prot::kRead);
       }
@@ -391,18 +391,14 @@ AccessResult AddressSpace::HandleFault(Vaddr va, bool for_write) {
   top.InsertPage(index, frame);
   MapPage(base, frame, Prot::kReadWrite);
   ++counters_.zero_fills;
-  TraceVmEvent("zero_fill");
+  TraceVmEvent(TraceStage::kZeroFill);
   return AccessResult::kOk;
 }
 
-void AddressSpace::TraceVmEvent(const char* event) {
-  TraceLog* trace = vm_->trace();
-  if (trace == nullptr) {
-    return;
+void AddressSpace::TraceVmEvent(TraceStage event) {
+  if (TraceLog* trace = vm_->trace(); trace != nullptr) {
+    trace->Instant(name_ + ".vm", trace->context(), event, "vm", trace->Now());
   }
-  const std::string& ctx = trace->context();
-  trace->Instant(name_ + ".vm", ctx.empty() ? std::string(event) : ctx + "." + event, "vm",
-                 trace->Now());
 }
 
 FrameId AddressSpace::ResolvePageForIo(Vaddr va, bool for_write) {

@@ -34,6 +34,8 @@
 
 namespace genie {
 
+enum class TraceStage : std::uint8_t;  // src/sim/trace.h
+
 struct Region {
   Vaddr start = 0;
   std::uint64_t length = 0;  // bytes, page multiple
@@ -193,9 +195,9 @@ class AddressSpace {
   void TlbFill(Vaddr base, Pte pte);
 
   AccessResult HandleFault(Vaddr va, bool for_write);
-  // Emits `event` as a trace instant on the "<name>.vm" track, prefixed
-  // with the trace's current transfer context; no-op without a trace.
-  void TraceVmEvent(const char* event);
+  // Emits `event` as a trace instant on the "<name>.vm" track, keyed to the
+  // trace's current transfer context; no-op without a trace.
+  void TraceVmEvent(TraceStage event);
   // Walks the shadow chain for `index`, checking, at EACH level, residency
   // first and then that object's backing-store slot (paging it in if found).
   // A shadow's paged-out private copy must win over a resident page in a

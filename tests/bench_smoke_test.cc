@@ -30,6 +30,7 @@
 #include "src/net/checksum.h"
 #include "src/obs/gate.h"
 #include "src/obs/metrics.h"
+#include "src/util/stats.h"
 #include "src/vm/address_space.h"
 #include "src/vm/vm.h"
 #include "tests/genie_test_util.h"
@@ -254,17 +255,19 @@ TEST(BenchSmokeTest, ParallelModeOffEquivalenceFloor) {
     pattern[i] = static_cast<std::byte>((i * 37 + 11) & 0xFF);
   }
   PhysicalMemory direct_pm(64, kPage);
-  const double direct_mbps = MeasureMbps(kTransfer * kOps, [&] {
-    for (std::size_t op = 0; op < kOps; ++op) {
-      SysBuffer buf;
-      ASSERT_TRUE(TryAllocateSysBuffer(direct_pm, 0, kTransfer, &buf));
-      InternetChecksum sum;
-      sum.UpdateWithCopy(pattern,
-                         direct_pm.DataRun(buf.iov.segments[0].frame, 0, kTransfer).data());
-      g_sink = sum.value();
-      FreeSysBuffer(direct_pm, buf);
-    }
-  });
+  const auto measure_direct = [&] {
+    return MeasureMbps(kTransfer * kOps, [&] {
+      for (std::size_t op = 0; op < kOps; ++op) {
+        SysBuffer buf;
+        ASSERT_TRUE(TryAllocateSysBuffer(direct_pm, 0, kTransfer, &buf));
+        InternetChecksum sum;
+        sum.UpdateWithCopy(pattern,
+                           direct_pm.DataRun(buf.iov.segments[0].frame, 0, kTransfer).data());
+        g_sink = sum.value();
+        FreeSysBuffer(direct_pm, buf);
+      }
+    });
+  };
 
   // Harness at 1 thread, pool churn off: same op count per measurement.
   ParallelFusedConfig cfg;
@@ -274,8 +277,27 @@ TEST(BenchSmokeTest, ParallelModeOffEquivalenceFloor) {
   cfg.arena_frames = 64;
   cfg.seed = 11;
   PhysicalMemory mt_pm(cfg.arena_frames * 3 + 16, kPage);
-  const double harness_mbps =
-      MeasureMbps(kTransfer * kOps, [&] { (void)RunParallelFused(mt_pm, cfg); });
+  const auto measure_harness = [&] {
+    return MeasureMbps(kTransfer * kOps, [&] { (void)RunParallelFused(mt_pm, cfg); });
+  };
+
+  // Interleaved pairs, alternating which side runs first, compared by their
+  // medians: a burst of load from other processes then lands on both sides
+  // alike instead of deciding a single direct-vs-harness comparison.
+  constexpr int kPairs = 5;
+  std::vector<double> direct(kPairs);
+  std::vector<double> harness(kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    if (i % 2 == 0) {
+      direct[i] = measure_direct();
+      harness[i] = measure_harness();
+    } else {
+      harness[i] = measure_harness();
+      direct[i] = measure_direct();
+    }
+  }
+  const double direct_mbps = Percentile(direct, 50);
+  const double harness_mbps = Percentile(harness, 50);
 
   // The harness pays one thread spawn+join per measurement body (~10 us)
   // against ~25 MB of copying, plus the arena bookkeeping; allow it to run

@@ -167,18 +167,20 @@ TEST(CriticalPathTest, CausalGraphJoinsReceiverPrepareByLabel) {
 
   const CausalGraph graph = BuildCausalGraph(trace, flows[0]);
   EXPECT_EQ(graph.flow, flows[0]);
-  EXPECT_EQ(graph.semantics, SemanticsName(kAllSemantics[0]));
-  EXPECT_EQ(graph.label.substr(0, 4), "out#");
+  ASSERT_TRUE(graph.key);
+  EXPECT_EQ(graph.key.dir, TransferDir::kOut);
+  EXPECT_EQ(graph.key.sem, kAllSemantics[0]);
+  EXPECT_EQ(run.flows[0].label.substr(0, 4), "out#");
   // The receiver's prepare happened before the sender existed, so it carries
-  // flow 0 — the label join must still pull it into the graph.
+  // flow 0 — the key join must still pull it into the graph.
   bool joined_prepare = false;
   for (const CausalEvent& e : graph.events) {
-    if (e.label_joined && e.name.find(".prepare") != std::string::npos) {
+    if (e.label_joined && e->stage == TraceStage::kPrepare) {
       joined_prepare = true;
-      EXPECT_EQ(e.name.substr(0, 3), "in#");
+      EXPECT_EQ(e->key.dir, TransferDir::kIn);
     }
-    EXPECT_GE(e.start, graph.start());
-    EXPECT_LE(e.end, graph.end());
+    EXPECT_GE(e->start, graph.start());
+    EXPECT_LE(e->end, graph.end());
   }
   EXPECT_TRUE(joined_prepare);
   EXPECT_EQ(graph.makespan(), run.flows[0].makespan);
@@ -337,9 +339,12 @@ TEST(CriticalPathTest, WindowedRetransmissionChargesToRetransmit) {
 // Fabric scenario: three copy transfers incast onto node 0's egress link of
 // a 4-node star. `contended` launches them concurrently (the second and
 // third serialize behind the first in DRR arbitration); otherwise they run
-// back-to-back and never wait for a grant.
-ScenarioResult RunFabricScenario(bool contended) {
-  TraceLog trace;
+// back-to-back and never wait for a grant. A serial run may trace only
+// transfer `traced_transfer`, which then appears in the log as if run alone.
+ScenarioResult RunFabricScenario(bool contended, TraceLog* trace_out = nullptr,
+                                 int traced_transfer = -1) {
+  TraceLog local;
+  TraceLog& trace = trace_out != nullptr ? *trace_out : local;
   Engine engine;
   Fabric fabric(engine, Fabric::Config{Fabric::Topology::kStar, 4096});
   std::vector<std::unique_ptr<Node>> nodes;
@@ -349,7 +354,9 @@ ScenarioResult RunFabricScenario(bool contended) {
                                            Node::Config{}));
     fabric.Attach(nodes.back()->adapter(), 0);
     apps.push_back(&nodes.back()->CreateProcess("app"));
-    nodes.back()->set_trace(&trace);
+    if (traced_transfer < 0) {
+      nodes.back()->set_trace(&trace);
+    }
   }
 
   constexpr int kTransfers = 3;
@@ -360,6 +367,11 @@ ScenarioResult RunFabricScenario(bool contended) {
     *out = co_await ep.Input(app, va, n, Semantics::kCopy);
   };
   for (int t = 0; t < kTransfers; ++t) {
+    if (traced_transfer >= 0) {
+      for (auto& node : nodes) {
+        node->set_trace(t == traced_transfer ? &trace : nullptr);
+      }
+    }
     const std::size_t from = static_cast<std::size_t>(t) + 1;
     const std::uint64_t channel = static_cast<std::uint64_t>(t) + 1;
     endpoints.push_back(std::make_unique<Endpoint>(*nodes[from], channel));
@@ -438,6 +450,43 @@ TEST(CriticalPathTest, FabricContentionChargesToFabricWait) {
   }
   // Two of the three flows queued behind the first's ~740 us frame.
   EXPECT_GT(waited, 0);
+}
+
+TEST(CriticalPathTest, ReceiverPrepareJoinsOnlyItsOwnInput) {
+  // Each receiver endpoint on n0 numbers its inputs from 1, so all three
+  // inputs carry the label "in#1[copy]". The key join must still pull only
+  // the flow's own receiver prepare into its graph, leaving every flow
+  // exactly as it is when its transfer is the only one in the log.
+  TraceLog trace;
+  const ScenarioResult serial = RunFabricScenario(false, &trace);
+  const std::vector<std::uint64_t> flows = Flows(trace);
+  ASSERT_EQ(flows.size(), 3u);
+  ASSERT_EQ(serial.flows.size(), 3u);
+  for (std::size_t t = 0; t < flows.size(); ++t) {
+    const CausalGraph graph = BuildCausalGraph(trace, flows[t]);
+    TransferKey input;
+    for (const CausalEvent& e : graph.events) {
+      if (!e.label_joined && e->stage == TraceStage::kDispose && e->key.dir == TransferDir::kIn) {
+        input = e->key;
+      }
+    }
+    ASSERT_TRUE(input) << "flow " << flows[t];
+    int prepares = 0;
+    for (const CausalEvent& e : graph.events) {
+      if (e->stage == TraceStage::kPrepare && e->key.dir == TransferDir::kIn) {
+        ++prepares;
+        EXPECT_TRUE(e.label_joined);
+        EXPECT_EQ(e->key, input) << "flow " << flows[t] << " joined another input";
+      }
+    }
+    EXPECT_EQ(prepares, 1) << "flow " << flows[t];
+
+    const ScenarioResult alone = RunFabricScenario(false, nullptr, static_cast<int>(t));
+    ASSERT_EQ(alone.flows.size(), 1u);
+    EXPECT_EQ(serial.flows[t].start, alone.flows[0].start) << "flow " << flows[t];
+    EXPECT_EQ(serial.flows[t].makespan, alone.flows[0].makespan) << "flow " << flows[t];
+    EXPECT_EQ(serial.flows[t].stage_ns, alone.flows[0].stage_ns) << "flow " << flows[t];
+  }
 }
 
 TEST(CriticalPathTest, FabricJsonIsByteIdenticalAcrossRuns) {

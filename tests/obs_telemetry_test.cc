@@ -254,11 +254,11 @@ TEST(TelemetrySamplerTest, CounterTracksEmitContinuousSeriesToTrace) {
     EXPECT_EQ(e.track, "telemetry");
     EXPECT_EQ(e.flow, 0u);  // invisible to the causal-graph analyzers
   }
-  EXPECT_EQ(counters[0].name, "src/c");
+  EXPECT_EQ(counters[0].Name(), "src/c");
   EXPECT_DOUBLE_EQ(counters[0].value, 4.0);
-  EXPECT_EQ(counters[1].name, "src/c.rate_per_s");
+  EXPECT_EQ(counters[1].Name(), "src/c.rate_per_s");
   EXPECT_DOUBLE_EQ(counters[1].value, 4e9 / 100000.0);
-  EXPECT_EQ(counters[2].name, "src/absent");
+  EXPECT_EQ(counters[2].Name(), "src/absent");
   EXPECT_DOUBLE_EQ(counters[2].value, 0.0);
   // Second window: no new increments — raw value holds, rate drops to 0.
   EXPECT_DOUBLE_EQ(counters[3].value, 4.0);
@@ -482,7 +482,7 @@ SoakResult RunPartitionSoak(bool with_telemetry, const std::string& flight_dir) 
     r.alerts = wl.slo()->alerts();
     for (const TraceLog::Event& e : trace.events()) {
       if (e.counter) {
-        r.counter_names.insert(e.name);
+        r.counter_names.insert(e.Name());
       }
     }
     // Dumps number from 1; the first alert's dump is "flight_wl_1.json".

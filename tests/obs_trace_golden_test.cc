@@ -45,8 +45,9 @@ InputResult TracedTransfer(Rig& rig, TraceLog& trace, Semantics sem) {
 std::vector<TrackAndName> TransferEvents(const TraceLog& trace) {
   std::vector<TrackAndName> out;
   for (const TraceLog::Event& e : trace.events()) {
-    if (e.name.find('#') != std::string::npos || e.name.rfind("rx_complete", 0) == 0) {
-      out.emplace_back(e.track, e.name);
+    const std::string name = e.Name();
+    if (name.find('#') != std::string::npos || name.rfind("rx_complete", 0) == 0) {
+      out.emplace_back(e.track, name);
     }
   }
   return out;
@@ -146,7 +147,7 @@ TEST(TraceInstantTest, RacingWriteEmitsTcowCopyInstant) {
 
   bool saw_tcow = false;
   for (const TraceLog::Event& e : trace.events()) {
-    if (e.track == "tx.app.vm" && e.name == "tcow_copy") {
+    if (e.track == "tx.app.vm" && e.Name() == "tcow_copy") {
       saw_tcow = true;
       EXPECT_TRUE(e.instant);
     }
@@ -173,7 +174,7 @@ TEST(TraceInstantTest, PageinDuringPrepareIsTransferKeyed) {
 
   std::size_t keyed_pageins = 0;
   for (const TraceLog::Event& e : trace.events()) {
-    if (e.track == "tx.app.vm" && e.name == "out#1[copy].pagein") {
+    if (e.track == "tx.app.vm" && e.Name() == "out#1[copy].pagein") {
       ++keyed_pageins;
     }
   }

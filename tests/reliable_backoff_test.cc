@@ -73,7 +73,7 @@ class ReliableRig {
     auto drive = [](ReliableRig* rig, std::uint64_t ch, IoVec frame,
                     std::optional<ReliableDelivery::TxReport>* out,
                     SimTime* when) -> Task<void> {
-      *out = co_await rig->rel_.TransmitReliably(ch, frame, 0, 0, "xfer", nullptr);
+      *out = co_await rig->rel_.TransmitReliably(ch, frame, 0, 0, TransferKey{}, nullptr);
       *when = rig->eng_.now();
     };
     std::move(drive(this, channel, iov, &report, &done)).Detach();
@@ -348,7 +348,7 @@ TEST(ReliableBackoffTest, WatchdogVerdictProtocol) {
 
   // kBusy pushes the deadline a full timeout out; the third expiry cancels.
   int calls = 0;
-  rig.rel_.Watch("stuck-xfer", [&] {
+  rig.rel_.Watch(TransferKey{}, [&] {
     ++calls;
     return calls < 3 ? ReliableDelivery::WatchVerdict::kBusy
                      : ReliableDelivery::WatchVerdict::kCancelled;
@@ -369,7 +369,7 @@ TEST(ReliableBackoffTest, WatchdogCompletedVerdictRetiresQuietly) {
   ReliableOptions opts;
   opts.watchdog_timeout = 1 * kMillisecond;
   rig.rel_.Configure(opts);
-  rig.rel_.Watch("done-xfer", [] { return ReliableDelivery::WatchVerdict::kCompleted; });
+  rig.rel_.Watch(TransferKey{}, [] { return ReliableDelivery::WatchVerdict::kCompleted; });
   rig.eng_.Run();
   EXPECT_EQ(rig.rel_.watched(), 0u);
   EXPECT_EQ(rig.rel_.stats().watchdog_cancels, 0u);
@@ -381,7 +381,7 @@ TEST(ReliableBackoffTest, UnwatchRetiresEntryBeforeExpiry) {
   opts.watchdog_timeout = 1 * kMillisecond;
   rig.rel_.Configure(opts);
   bool expired = false;
-  const std::uint64_t id = rig.rel_.Watch("fast-xfer", [&] {
+  const std::uint64_t id = rig.rel_.Watch(TransferKey{}, [&] {
     expired = true;
     return ReliableDelivery::WatchVerdict::kCancelled;
   });
@@ -394,7 +394,7 @@ TEST(ReliableBackoffTest, UnwatchRetiresEntryBeforeExpiry) {
 
 TEST(ReliableBackoffTest, WatchIsNoOpWhenWatchdogOff) {
   ReliableRig rig;
-  const std::uint64_t id = rig.rel_.Watch("ignored", [] {
+  const std::uint64_t id = rig.rel_.Watch(TransferKey{}, [] {
     ADD_FAILURE() << "callback must never run with the watchdog off";
     return ReliableDelivery::WatchVerdict::kCancelled;
   });

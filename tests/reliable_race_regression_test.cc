@@ -91,7 +91,7 @@ class RaceRig {
     auto drive = [](RaceRig* rig, std::uint64_t ch, IoVec frame,
                     std::optional<ReliableDelivery::TxReport>* out,
                     SimTime* when) -> Task<void> {
-      *out = co_await rig->rel_.TransmitReliably(ch, frame, 0, 0, "xfer", nullptr);
+      *out = co_await rig->rel_.TransmitReliably(ch, frame, 0, 0, TransferKey{}, nullptr);
       *when = rig->eng_.now();
     };
     std::move(drive(this, channel, iov, &report, &done)).Detach();
@@ -244,11 +244,11 @@ InputResult RunE2eTransfer(const ReliableOptions& opts, ProbeTiming* timing,
   if (timing != nullptr) {
     const SimTime hw_fixed = rig.sender.Cost(OpKind::kHardwareFixed, 0);
     for (const TraceLog::Event& e : trace.events()) {
-      if (e.name.ends_with(".transmit")) {
+      if (e.stage == TraceStage::kTransmit) {
         // The watch registers one fixed hardware delay after the transmit
         // span opens (device setup, before the reliable layer is entered).
         timing->watch_at = e.start + hw_fixed;
-      } else if (e.name.ends_with(".ack_wait")) {
+      } else if (e.stage == TraceStage::kAckWait) {
         timing->ack_at = e.end;
       }
     }

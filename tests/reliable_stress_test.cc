@@ -144,8 +144,8 @@ IterationOutcome RunIteration(std::uint64_t seed) {
       std::printf("[reliable-stress] flight recorder dump: %s\n", path.c_str());
     }
   });
-  const auto dump_on_cancel = [&recorder](const std::string& label) {
-    const std::string path = recorder.DumpToFile("watchdog cancel: " + label);
+  const auto dump_on_cancel = [&recorder](const TransferKey& key) {
+    const std::string path = recorder.DumpToFile("watchdog cancel: " + TransferLabel(key));
     if (!path.empty()) {
       std::printf("[reliable-stress] flight recorder dump: %s\n", path.c_str());
     }

@@ -89,7 +89,7 @@ class WindowRig {
     }
     auto drive = [](WindowRig* rig, std::uint64_t ch, IoVec frame,
                     std::optional<ReliableDelivery::TxReport>* out) -> Task<void> {
-      *out = co_await rig->rel_.TransmitReliably(ch, frame, 0, 0, "xfer", nullptr);
+      *out = co_await rig->rel_.TransmitReliably(ch, frame, 0, 0, TransferKey{}, nullptr);
       rig->last_done_ = std::max(rig->last_done_, rig->eng_.now());
     };
     for (int i = 0; i < count; ++i) {
@@ -294,7 +294,7 @@ TEST(ReliableWindowTest, CancellationUnderPartiallyAckedWindow) {
   auto drive = [](WindowRig* rig_ptr, IoVec frame,
                   std::shared_ptr<ReliableDelivery::CancelToken> tok,
                   std::optional<ReliableDelivery::TxReport>* out) -> Task<void> {
-    *out = co_await rig_ptr->rel_.TransmitReliably(1, frame, 0, 0, "xfer", std::move(tok));
+    *out = co_await rig_ptr->rel_.TransmitReliably(1, frame, 0, 0, TransferKey{}, std::move(tok));
   };
   std::move(drive(&rig, src, nullptr, &reports[0])).Detach();
   std::move(drive(&rig, src, token, &reports[1])).Detach();
@@ -348,11 +348,11 @@ TEST(ReliableWindowTest, WindowOneAdmitsOneFramePerChannelAtATime) {
     std::vector<const TraceLog::Event*> ack_wait;
     int stalls = 0;
     for (const TraceLog::Event& e : trace.events()) {
-      if (e.track == "tx.wire" && e.name.starts_with("frame ")) {
+      if (e.track == "tx.wire" && e.stage == TraceStage::kWire) {
         wire.push_back(&e);
-      } else if (e.name.ends_with(".ack_wait")) {
+      } else if (e.stage == TraceStage::kAckWait) {
         ack_wait.push_back(&e);
-      } else if (e.name.ends_with(".window_stall")) {
+      } else if (e.stage == TraceStage::kWindowStall) {
         ++stalls;
       }
     }

@@ -86,11 +86,31 @@ TEST(TraceLogTest, ClockDefaultsToZeroAndFollowsInstalledCallback) {
 
 TEST(TraceLogTest, ContextIsEmptyByDefaultAndSettable) {
   TraceLog trace;
-  EXPECT_TRUE(trace.context().empty());
-  trace.set_context("out#1[copy]");
-  EXPECT_EQ(trace.context(), "out#1[copy]");
-  trace.set_context("");
-  EXPECT_TRUE(trace.context().empty());
+  EXPECT_FALSE(trace.context());
+  const TransferKey key{nullptr, 1, 1, TransferDir::kOut, Semantics::kCopy};
+  trace.set_context(key);
+  EXPECT_EQ(trace.context(), key);
+  trace.set_context(TransferKey{});
+  EXPECT_FALSE(trace.context());
+}
+
+TEST(TraceLogTest, TypedEventNamesAreFormattedFromKeyAndStage) {
+  TraceLog trace;
+  const TransferKey out{nullptr, 1, 3, TransferDir::kOut, Semantics::kEmulatedCopy};
+  const TransferKey in{nullptr, 1, 4, TransferDir::kIn, Semantics::kWeakMove};
+  trace.Span("t", out, TraceStage::kPrepare, "xfer", 0, 10);
+  trace.Instant("t", in, TraceStage::kZeroFill, "vm", 5);
+  trace.Instant("t", TransferKey{}, TraceStage::kZeroFill, "vm", 6);
+  trace.Span("t", "frame 4096B", "net", 10, 20, /*flow=*/1, TraceStage::kWire);
+  ASSERT_EQ(trace.event_count(), 4u);
+  EXPECT_EQ(TransferLabel(out), "out#3[emulated copy]");
+  EXPECT_EQ(trace.events()[0].Name(), "out#3[emulated copy].prepare");
+  EXPECT_EQ(trace.events()[1].Name(), "in#4[weak move].zero_fill");
+  EXPECT_EQ(trace.events()[2].Name(), "zero_fill");
+  EXPECT_EQ(trace.events()[3].Name(), "frame 4096B");
+  std::ostringstream os;
+  trace.WriteJson(os);
+  EXPECT_NE(os.str().find(R"("name":"out#3[emulated copy].prepare")"), std::string::npos);
 }
 
 TEST(TraceLogTest, RingCapacityBoundsLogAndCountsDrops) {
@@ -105,9 +125,9 @@ TEST(TraceLogTest, RingCapacityBoundsLogAndCountsDrops) {
   EXPECT_LE(trace.event_count(), 16u);
   EXPECT_GE(trace.event_count(), 8u);
   EXPECT_EQ(trace.dropped_events() + trace.event_count(), 100u);
-  EXPECT_EQ(trace.events().back().name, "e99");
+  EXPECT_EQ(trace.events().back().Name(), "e99");
   const std::size_t first_kept = 100 - trace.event_count();
-  EXPECT_EQ(trace.events().front().name, "e" + std::to_string(first_kept));
+  EXPECT_EQ(trace.events().front().Name(), "e" + std::to_string(first_kept));
   trace.Clear();
   EXPECT_EQ(trace.dropped_events(), 0u);
 }
