@@ -265,4 +265,32 @@ EOF
 build/tests/obs_telemetry_test
 ASAN_OPTIONS=detect_leaks=0 build-asan/tests/obs_telemetry_test
 
+echo "=== tier-1: benchmark self-checks (perfbench, untraced and traced) ==="
+# Ninth leg: the repository benchmark's own checks, one short run of every
+# workload in BENCHMARK.json with tracing off and on. perfbench/run.py builds
+# the runner from src/ in its own tree (.bench_build/) and exits nonzero on
+# a build failure or a failed check; the leg also fails on a "correct":
+# false verdict or any failed operation in the run's final JSON line.
+WORKLOADS=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in $WORKLOADS; do
+  for trace in 0 1; do
+    echo "perfbench $workload --trace $trace"
+    if ! out=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace "$trace"); then
+      echo "$out" | tail -n 20
+      echo "benchmark leg failed: perfbench run.py exited nonzero ($workload, trace $trace)"
+      exit 1
+    fi
+    if ! echo "$out" | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+print("  correct=%s attempted=%s failed=%s" % (r["correct"], r["attempted"], r["failed"]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+'; then
+      echo "benchmark leg failed: $workload (trace $trace) reported an incorrect run or failed operations"
+      exit 1
+    fi
+  done
+done
+
 echo "CI OK: all suites passed."

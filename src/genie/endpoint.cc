@@ -177,6 +177,13 @@ void Endpoint::RegisterMetrics() {
   }
 }
 
+LatencyHistogram& Endpoint::CachedHistogram(LatencyHistogram*& slot, const char* name) {
+  if (slot == nullptr) {
+    slot = &node_->metrics().Histogram(metric_prefix_ + name);
+  }
+  return *slot;
+}
+
 void Endpoint::CompleteInput(PendingInput& pi, TraceScope& dispose_span) {
   dispose_span.End();
   pi.result.completed_at = node_->engine().now();
@@ -192,7 +199,7 @@ void Endpoint::RecordInputComplete(PendingInput& pi) {
   }
   const double us = SimTimeToMicros(node_->engine().now() - pi.started_at);
   if (options_.register_metrics) {
-    node_->metrics().Histogram(metric_prefix_ + "input_latency_us").Add(us);
+    CachedHistogram(input_latency_, "input_latency_us").Add(us);
   }
   if (input_latency_probe_) {
     input_latency_probe_(us);
@@ -717,8 +724,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
     co_await Charge(op, bytes);
   }
   dispose_span.End();
-  node_->metrics()
-      .Histogram(metric_prefix_ + "output_latency_us")
+  CachedHistogram(output_latency_, "output_latency_us")
       .Add(SimTimeToMicros(node_->engine().now() - st->started_at));
   node_->cpu().Release();
   FinishOperation();

@@ -396,6 +396,10 @@ class Endpoint {
   // with the node's MetricsRegistry; the destructor unregisters them.
   void RegisterMetrics();
   void RecordInputComplete(PendingInput& pi);
+  // The node's "ep<channel>.<name>" histogram, looked up on first use and
+  // cached in `slot` (registry histograms are never removed). Not created up
+  // front: a receive-only endpoint must not gain an empty output histogram.
+  LatencyHistogram& CachedHistogram(LatencyHistogram*& slot, const char* name);
   // Input epilogue, run holding the CPU: closes the dispose span, records
   // completion, releases the CPU and wakes the waiting Input().
   void CompleteInput(PendingInput& pi, TraceScope& dispose_span);
@@ -407,6 +411,8 @@ class Endpoint {
   std::array<std::uint64_t, kOpKindCount> op_counts_{};
   std::array<std::uint64_t, kOpKindCount> op_bytes_{};
   std::string metric_prefix_;  // "ep<channel>."
+  LatencyHistogram* output_latency_ = nullptr;  // see CachedHistogram
+  LatencyHistogram* input_latency_ = nullptr;
   std::uint64_t next_transfer_id_ = 1;
   OpProbe op_probe_;
   std::function<void(double)> input_latency_probe_;

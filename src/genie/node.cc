@@ -39,6 +39,12 @@ Node::Node(Engine& engine, std::string name, Config config)
   RegisterComponentGauges();
 }
 
+Node::~Node() {
+  if (trace_ != nullptr && !trace_lifetime_.expired()) {
+    trace_->UnregisterNode(this);
+  }
+}
+
 void Node::RegisterComponentGauges() {
   const PhysicalMemory& pm = vm_.pm();
   metrics_.RegisterGauge("mem.free_frames", [&pm] { return std::uint64_t{pm.free_frames()}; });

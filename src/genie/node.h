@@ -41,6 +41,10 @@ class Node {
   };
 
   Node(Engine& engine, std::string name, Config config);
+  // Releases this node's track names, so a later node (say, of the next
+  // testbed) may claim the same names in a trace log that outlives it. A log
+  // destroyed before the node is left alone.
+  ~Node();
 
   Engine& engine() { return *engine_; }
   const std::string& name() const { return name_; }
@@ -123,6 +127,7 @@ class Node {
       trace_->UnregisterNode(this);
     }
     trace_ = trace;
+    trace_lifetime_ = trace != nullptr ? trace->lifetime() : std::weak_ptr<const void>();
     adapter_.set_trace(trace);
     vm_.set_trace(trace);
     reliable_->set_trace(trace);
@@ -206,6 +211,7 @@ class Node {
   PageoutDaemon pageout_;
   std::vector<std::unique_ptr<AddressSpace>> processes_;
   TraceLog* trace_ = nullptr;
+  std::weak_ptr<const void> trace_lifetime_;  // expired once trace_ is destroyed
   std::map<std::uint64_t, std::function<void(PooledFrame)>> pooled_handlers_;
   std::map<std::uint64_t, std::function<void(OutboardFrame)>> outboard_handlers_;
 

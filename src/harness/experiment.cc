@@ -13,14 +13,6 @@ constexpr Vaddr kSrcRegion = 0x20000000;
 constexpr Vaddr kDstRegion = 0x30000000;
 constexpr std::uint64_t kBufferRegionBytes = 64 * 1024 + 8 * 8192;  // fits 60 KB at any offset
 
-std::vector<std::byte> Payload(std::uint64_t len) {
-  std::vector<std::byte> v(static_cast<std::size_t>(len));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<std::byte>((i * 31 + 7) & 0xFF);
-  }
-  return v;
-}
-
 }  // namespace
 
 Testbed::Testbed(const ExperimentConfig& config) : config_(config) {
@@ -64,8 +56,7 @@ InputResult Testbed::TransferOnceMixed(std::uint64_t len, Semantics out_sem,
     // Fresh moved-in source buffer per datagram (the output deallocates it).
     src = tx_ep_->AllocateIoBuffer(*tx_app_, len);
   }
-  const auto payload = Payload(len);
-  const AccessResult wrote = tx_app_->Write(src, payload);
+  const AccessResult wrote = tx_app_->Write(src, Payload(len));
   GENIE_CHECK(wrote == AccessResult::kOk);
 
   InputResult result;
@@ -98,6 +89,19 @@ InputResult Testbed::TransferOnceMixed(std::uint64_t len, Semantics out_sem,
     pending_free_ = result.addr;
   }
   return result;
+}
+
+std::span<const std::byte> Testbed::Payload(std::uint64_t len) {
+  // Byte i depends only on i, so a shorter payload is a prefix of a longer
+  // one: extend the buffer only past the longest length sent so far.
+  const std::size_t built = payload_.size();
+  if (len > built) {
+    payload_.resize(static_cast<std::size_t>(len));
+    for (std::size_t i = built; i < payload_.size(); ++i) {
+      payload_[i] = static_cast<std::byte>((i * 31 + 7) & 0xFF);
+    }
+  }
+  return std::span<const std::byte>(payload_).first(static_cast<std::size_t>(len));
 }
 
 RunResult Experiment::Run(Semantics sem, std::span<const std::uint64_t> lengths) {

@@ -87,6 +87,9 @@ class Testbed {
   SimTime last_send_time() const { return last_send_time_; }
 
  private:
+  // The first `len` bytes of the payload every transfer sends.
+  std::span<const std::byte> Payload(std::uint64_t len);
+
   ExperimentConfig config_;
   Engine engine_;
   std::unique_ptr<Node> sender_;
@@ -99,6 +102,7 @@ class Testbed {
   Vaddr src_buffer_ = 0;
   Vaddr dst_buffer_ = 0;
   Vaddr pending_free_ = 0;  // Moved-in input region to release on next call.
+  std::vector<std::byte> payload_;  // Built once, up to the longest length sent.
   SimTime last_send_time_ = 0;
 };
 

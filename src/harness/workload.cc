@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 
@@ -18,6 +19,14 @@ constexpr Vaddr kArenaBase = 0x4000'0000;
 
 std::uint64_t CeilPages(std::uint64_t len, std::uint32_t page) {
   return (len + page - 1) / page;
+}
+
+// The first `n` bytes of `buf`, grown to fit.
+std::span<std::byte> Prefix(std::vector<std::byte>& buf, std::uint64_t n) {
+  if (buf.size() < n) {
+    buf.resize(static_cast<std::size_t>(n));
+  }
+  return std::span<std::byte>(buf).first(static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -171,17 +180,24 @@ std::byte Workload::PatternByte(std::uint64_t channel, std::uint64_t salt,
   return static_cast<std::byte>((channel * 131 + salt * 31 + offset * 7) & 0xFF);
 }
 
+void Workload::FillPattern(std::uint64_t channel, std::uint64_t salt, std::span<std::byte> out) {
+  // Byte i is (base + 7i) mod 256, so the pattern repeats every 256 bytes:
+  // build one period, then double it.
+  const std::size_t period = std::min<std::size_t>(out.size(), 256);
+  for (std::size_t i = 0; i < period; ++i) {
+    out[i] = PatternByte(channel, salt, i);
+  }
+  for (std::size_t filled = period; filled < out.size(); filled *= 2) {
+    std::memcpy(out.data() + filled, out.data(), std::min(filled, out.size() - filled));
+  }
+}
+
 Task<InputResult> Workload::TransferOnce(Tenant& t, std::uint64_t salt, std::uint64_t len,
                                          Semantics sem, std::size_t slot) {
   const TenantClassConfig& cls = *t.cls;
   const std::uint32_t page = t.tx_node->page_size();
   const std::uint64_t slot_bytes = CeilPages(cls.max_bytes, page) * page;
 
-  // Fill the source with this transfer's pattern.
-  std::vector<std::byte> payload(static_cast<std::size_t>(len));
-  for (std::uint64_t i = 0; i < len; ++i) {
-    payload[i] = PatternByte(t.channel, salt, i);
-  }
   Vaddr src = 0;
   if (IsSystemAllocated(sem)) {
     // The output deallocates the moved-in buffer; allocate a fresh one.
@@ -189,7 +205,14 @@ Task<InputResult> Workload::TransferOnce(Tenant& t, std::uint64_t salt, std::uin
   } else {
     src = t.src_base + slot * slot_bytes;
   }
-  GENIE_CHECK(t.tx_app->Write(src, payload) == AccessResult::kOk);
+  {
+    // Fill the source with this transfer's pattern. Every tenant stages it
+    // in the one pattern_ buffer, so the span must not outlive this block:
+    // Write consumes it before the coroutine first suspends.
+    const std::span<std::byte> payload = Prefix(pattern_, len);
+    FillPattern(t.channel, salt, payload);
+    GENIE_CHECK(t.tx_app->Write(src, payload) == AccessResult::kOk);
+  }
 
   // Prepost the receive, then issue the output. Open-loop tenants post
   // max_bytes (ARQ reordering can land any in-flight frame in any posted
@@ -234,7 +257,7 @@ void Workload::VerifyPayload(Tenant& t, std::uint64_t salt, std::uint64_t len, S
     }
     return;
   }
-  std::vector<std::byte> got(static_cast<std::size_t>(result.bytes));
+  const std::span<std::byte> got = Prefix(readback_, result.bytes);
   if (t.rx_app->Read(result.addr, got) != AccessResult::kOk) {
     violations_.push_back("tenant " + std::to_string(t.index) + ": readback failed at " +
                           std::to_string(result.addr));
@@ -243,13 +266,13 @@ void Workload::VerifyPayload(Tenant& t, std::uint64_t salt, std::uint64_t len, S
                           std::to_string(result.bytes) + " bytes, expected " +
                           std::to_string(len));
   } else {
-    for (std::uint64_t i = 0; i < result.bytes; ++i) {
-      if (got[i] != PatternByte(t.channel, salt, i)) {
-        violations_.push_back("tenant " + std::to_string(t.index) + ": byte " +
-                              std::to_string(i) + " of " + std::to_string(result.bytes) +
-                              " corrupt (salt " + std::to_string(salt) + ")");
-        break;
-      }
+    const std::span<std::byte> want = Prefix(pattern_, len);
+    FillPattern(t.channel, salt, want);
+    if (!got.empty() && std::memcmp(got.data(), want.data(), got.size()) != 0) {
+      const auto bad = std::mismatch(got.begin(), got.end(), want.begin()).first - got.begin();
+      violations_.push_back("tenant " + std::to_string(t.index) + ": byte " +
+                            std::to_string(bad) + " of " + std::to_string(result.bytes) +
+                            " corrupt (salt " + std::to_string(salt) + ")");
     }
   }
   if (IsSystemAllocated(sem)) {

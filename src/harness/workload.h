@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,15 @@ class Workload {
   // Human-readable per-class table (bench output).
   void WriteReport(std::ostream& os) const;
 
+  // The workload process of node `i`: every tenant's buffers on that node.
+  AddressSpace& process(std::size_t i) { return *apps_.at(i); }
+
+  // Deterministic payload byte `offset` of the transfer `salt` identifies
+  // on `channel`; every delivered payload is checked against it.
+  static std::byte PatternByte(std::uint64_t channel, std::uint64_t salt, std::uint64_t offset);
+  // Writes PatternByte(channel, salt, i) to out[i] for every i.
+  static void FillPattern(std::uint64_t channel, std::uint64_t salt, std::span<std::byte> out);
+
  private:
   struct Tenant {
     std::size_t index = 0;
@@ -257,9 +267,6 @@ class Workload {
                      const InputResult& result);
   void RecordLatency(Tenant& t, SimTime started_at, SimTime completed_at);
   bool DeadlinePassed() const;
-  // Deterministic per-(tenant, transfer) payload byte.
-  static std::byte PatternByte(std::uint64_t channel, std::uint64_t transfer_id,
-                               std::uint64_t offset);
 
   Engine* engine_;
   WorkloadConfig config_;
@@ -270,6 +277,11 @@ class Workload {
   std::vector<TenantStats> tenant_stats_;
   std::vector<std::unique_ptr<LatencyHistogram>> class_latency_;
   std::vector<std::string> violations_;
+  // Host-side staging shared by every tenant, grown to the longest transfer:
+  // the pattern a transfer writes or is checked against, and the bytes read
+  // back from a receive buffer. Only synchronous code touches them.
+  std::vector<std::byte> pattern_;
+  std::vector<std::byte> readback_;
   MetricsRegistry metrics_;
   std::unique_ptr<TelemetrySampler> sampler_;
   std::unique_ptr<SloTracker> slo_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <utility>
 
 namespace genie {
 
@@ -9,7 +11,9 @@ PhysicalMemory::PhysicalMemory(std::size_t num_frames, std::uint32_t page_size)
     : page_size_(page_size) {
   GENIE_CHECK_GT(num_frames, 0u);
   GENIE_CHECK_GT(page_size, 0u);
-  arena_.resize(num_frames * page_size);
+  // Left uninitialised: TakeFromRun zeroes each frame on its first
+  // allocation, so an arena nobody allocates from costs no host time or RSS.
+  arena_ = std::make_unique_for_overwrite<std::byte[]>(num_frames * page_size);
   info_.resize(num_frames);
   free_runs_[0] = static_cast<FrameId>(num_frames);
   free_count_ = num_frames;
@@ -29,6 +33,15 @@ void PhysicalMemory::TakeFromRun(std::map<FrameId, FrameId>::iterator run, Frame
     free_runs_[first + count] = (run_start + run_len) - (first + count);
   }
   free_count_ -= count;
+  // Every caller passes the start of a free run, so the frames past the
+  // zeroed prefix are the tail of the last run and `first` lies within the
+  // prefix or at its end (see the header): zero just what is new.
+  const FrameId zeroed = zeroed_frames_.load();
+  if (first + count > zeroed) {
+    std::memset(arena_.get() + static_cast<std::size_t>(zeroed) * page_size_, 0,
+                static_cast<std::size_t>(first + count - zeroed) * page_size_);
+    zeroed_frames_.store(first + count);
+  }
   for (FrameId f = first; f < first + count; ++f) {
     FrameInfo& fi = info_[f];
     GENIE_CHECK(!fi.allocated && !fi.zombie);
@@ -161,29 +174,34 @@ void PhysicalMemory::Free(FrameId frame) {
 }
 
 std::span<std::byte> PhysicalMemory::Data(FrameId frame) {
-  CheckValid(frame);
-  return {arena_.data() + static_cast<std::size_t>(frame) * page_size_, page_size_};
+  const std::span<const std::byte> data = std::as_const(*this).Data(frame);
+  return {const_cast<std::byte*>(data.data()), data.size()};
 }
 
 std::span<const std::byte> PhysicalMemory::Data(FrameId frame) const {
   CheckValid(frame);
-  return {arena_.data() + static_cast<std::size_t>(frame) * page_size_, page_size_};
+  GENIE_CHECK_LT(frame, zeroed_frames_.load())
+      << "frame " << frame << " was never allocated";
+  return {arena_.get() + static_cast<std::size_t>(frame) * page_size_, page_size_};
 }
 
 std::span<std::byte> PhysicalMemory::DataRun(FrameId first, std::uint64_t offset,
                                              std::uint64_t length) {
-  CheckValid(first);
-  const std::uint64_t start = static_cast<std::uint64_t>(first) * page_size_ + offset;
-  GENIE_CHECK_LE(start + length, arena_.size()) << "frame run out of bounds";
-  return {arena_.data() + start, static_cast<std::size_t>(length)};
+  const std::span<const std::byte> data = std::as_const(*this).DataRun(first, offset, length);
+  return {const_cast<std::byte*>(data.data()), data.size()};
 }
 
 std::span<const std::byte> PhysicalMemory::DataRun(FrameId first, std::uint64_t offset,
                                                    std::uint64_t length) const {
   CheckValid(first);
   const std::uint64_t start = static_cast<std::uint64_t>(first) * page_size_ + offset;
-  GENIE_CHECK_LE(start + length, arena_.size()) << "frame run out of bounds";
-  return {arena_.data() + start, static_cast<std::size_t>(length)};
+  GENIE_CHECK_LE(start + length, static_cast<std::uint64_t>(num_frames()) * page_size_)
+      << "frame run out of bounds";
+  GENIE_CHECK_LE(start + length,
+                 static_cast<std::uint64_t>(zeroed_frames_.load()) *
+                     page_size_)
+      << "frame run reaches frames that were never allocated";
+  return {arena_.get() + start, static_cast<std::size_t>(length)};
 }
 
 void PhysicalMemory::AddInputRef(FrameId frame) {

@@ -11,12 +11,21 @@
 // TryAllocateRun() let the data path exploit that with single memcpys and
 // single-segment scatter/gather lists. The free list is kept as an ordered
 // map of maximal free runs so contiguous allocation stays common over time.
+//
+// The arena is allocated uninitialised and zeroed lazily: a frame reads zero
+// on its first allocation and whatever its previous owner left on reuse,
+// exactly as if the whole arena had been zeroed up front. Every allocation
+// takes frames from the start of a free run, so the frames ever allocated
+// form a prefix of the arena; zeroing up to the end of each allocation keeps
+// that prefix zero-initialised, and Data()/DataRun() refuse bytes beyond it.
 #ifndef GENIE_SRC_MEM_PHYS_MEMORY_H_
 #define GENIE_SRC_MEM_PHYS_MEMORY_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -62,10 +71,10 @@ class PhysicalMemory {
   std::size_t free_frames() const { return free_count_; }
 
   // Allocates a frame (contents indeterminate, as on real hardware: whatever
-  // the previous owner left). Aborts if out of memory; use TryAllocate when
-  // the caller can recover (e.g. by triggering pageout). Allocation is
-  // lowest-address-first, which keeps frame ids deterministic and favors
-  // contiguous runs.
+  // the previous owner left, or zero if it never had one). Aborts if out of
+  // memory; use TryAllocate when the caller can recover (e.g. by triggering
+  // pageout). Allocation is lowest-address-first, which keeps frame ids
+  // deterministic and favors contiguous runs.
   //
   // Allocate() is reserved for infrastructure that has no recovery path
   // (arena setup, device pools): it never consults the fault plan, so a
@@ -88,7 +97,9 @@ class PhysicalMemory {
   void Free(FrameId frame);
 
   // Raw frame bytes. Used by the CPU-side simulation (after permission
-  // checks) and by devices (no checks — DMA bypasses the MMU).
+  // checks) and by devices (no checks — DMA bypasses the MMU). The frame
+  // must have been allocated at least once: the arena beyond the allocated
+  // prefix is uninitialised host memory.
   std::span<std::byte> Data(FrameId frame);
   std::span<const std::byte> Data(FrameId frame) const;
 
@@ -156,13 +167,19 @@ class PhysicalMemory {
   void MaybeReclaim(FrameId frame);
   // Takes the lowest free frame, bypassing fault injection.
   FrameId AllocateLowest();
-  // Marks [first, first+count) allocated, removing it from its free run.
+  // Marks [first, first+count) allocated, removing it from its free run, and
+  // zeroes whatever part of it lies beyond the zeroed prefix.
   void TakeFromRun(std::map<FrameId, FrameId>::iterator run, FrameId first, FrameId count);
   // Returns `frame` to the free runs, merging with adjacent runs.
   void ReleaseToFreeList(FrameId frame);
 
   std::uint32_t page_size_;
-  std::vector<std::byte> arena_;
+  std::unique_ptr<std::byte[]> arena_;
+  // Frames [0, zeroed_frames_) have been zeroed (and possibly allocated and
+  // written since); the rest of the arena is uninitialised. Only grows, and
+  // only inside TakeFromRun; atomic because parallel host-path threads read
+  // frame data while another thread refills under mt_mutex_.
+  std::atomic<FrameId> zeroed_frames_{0};
   std::vector<FrameInfo> info_;
   // Maximal free runs: start frame -> run length (frames). Ordered so
   // allocation is lowest-first and merges are O(log runs).

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -136,6 +137,9 @@ class TraceLog {
   // the library). Re-registering one's own name is a no-op.
   void RegisterNode(const void* owner, const std::string& name);
   void UnregisterNode(const void* owner);
+  // Expires when this log is destroyed, so an owner that may outlive the
+  // log knows whether it still has names to give back.
+  std::weak_ptr<const void> lifetime() const { return lifetime_; }
 
   // Optional simulated clock, used by convenience emitters (TraceScope) so
   // span producers need not thread an Engine everywhere. Node::set_trace
@@ -162,6 +166,7 @@ class TraceLog {
   std::size_t capacity_ = 0;
   std::uint64_t dropped_events_ = 0;
   std::map<std::string, const void*> node_owners_;
+  std::shared_ptr<const void> lifetime_ = std::make_shared<char>();
   std::function<SimTime()> clock_;
   TransferKey context_;
 };

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/analysis/latency_model.h"
 #include "src/analysis/linear_fit.h"
+#include "src/sim/trace.h"
 
 namespace genie {
 namespace {
@@ -155,6 +158,27 @@ TEST(HarnessTest, OpSamplesCollectedWhenRequested) {
 
 TEST(HarnessTest, ThroughputHelper) {
   EXPECT_NEAR(ThroughputMbps(61440, 6267.0), 78.4, 0.1);
+}
+
+TEST(HarnessTest, SequentialTestbedsShareOneTraceLog) {
+  // Each testbed names its nodes "tx" and "rx"; a node gives its track names
+  // back when it is destroyed, so the next testbed can claim them.
+  TraceLog log;
+  ExperimentConfig config;
+  config.trace = &log;
+  for (int bed_index = 0; bed_index < 2; ++bed_index) {
+    Testbed bed(config);
+    ASSERT_TRUE(bed.TransferOnce(4096, Semantics::kCopy).ok) << "testbed " << bed_index;
+  }
+  // Both transfers are in the log. Flow ids come from each testbed's own
+  // engine, so both start at 1.
+  std::vector<std::uint64_t> prepare_flows;
+  for (const TraceLog::Event& e : log.events()) {
+    if (e.track == "tx.xfer" && e.stage == TraceStage::kPrepare) {
+      prepare_flows.push_back(e.flow);
+    }
+  }
+  EXPECT_EQ(prepare_flows, (std::vector<std::uint64_t>{1, 1}));
 }
 
 }  // namespace

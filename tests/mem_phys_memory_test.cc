@@ -1,7 +1,10 @@
 #include "src/mem/phys_memory.h"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -286,6 +289,97 @@ TEST(PhysMemoryDeathTest, DataRunPastArenaAborts) {
   pm.Allocate();
   pm.Allocate();
   EXPECT_DEATH(pm.DataRun(1, 0, 2 * kPage), "out of bounds");
+}
+
+// --- Lazily zeroed arena: zero on first allocation, residue on reuse ---
+
+// Builds and drops an arena of `frames` frames filled with 0xA5, so the next
+// arena of that size most likely reuses its memory: a frame that is not
+// zeroed on its first allocation then shows the fill instead of zero.
+void DirtyHeap(std::size_t frames) {
+  PhysicalMemory dirty(frames, kPage);
+  const FrameId all = dirty.TryAllocateRun(frames);
+  std::memset(dirty.DataRun(all, 0, frames * kPage).data(), 0xA5, frames * kPage);
+}
+
+bool AllBytesAre(std::span<const std::byte> bytes, unsigned char value) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [value](std::byte b) { return b == std::byte{value}; });
+}
+
+struct AllocationPath {
+  const char* name;
+  std::size_t frames;  // frames one call takes
+  FrameId (*allocate)(PhysicalMemory&);
+};
+constexpr std::size_t kRun = 3;
+const AllocationPath kAllocationPaths[] = {
+    {"Allocate", 1, [](PhysicalMemory& pm) { return pm.Allocate(); }},
+    {"TryAllocate", 1, [](PhysicalMemory& pm) { return pm.TryAllocate(); }},
+    {"TryAllocateRun", kRun, [](PhysicalMemory& pm) { return pm.TryAllocateRun(kRun); }},
+    {"TryAllocateRunMt", kRun, [](PhysicalMemory& pm) { return pm.TryAllocateRunMt(kRun); }},
+    {"AllocateZeroed", 1, [](PhysicalMemory& pm) { return pm.AllocateZeroed(); }},
+};
+
+TEST(PhysMemoryTest, FreshFramesReadZeroOnEveryAllocationPath) {
+  constexpr std::size_t kFrames = 8;
+  for (const AllocationPath& path : kAllocationPaths) {
+    DirtyHeap(kFrames);
+    PhysicalMemory pm(kFrames, kPage);
+    // Twice: at the start of the arena, then right past what was taken.
+    for (int round = 0; round < 2; ++round) {
+      const FrameId first = path.allocate(pm);
+      ASSERT_NE(first, kInvalidFrame) << path.name;
+      EXPECT_EQ(first, static_cast<FrameId>(round * path.frames)) << path.name;
+      EXPECT_TRUE(AllBytesAre(pm.DataRun(first, 0, path.frames * kPage), 0))
+          << path.name << " round " << round;
+      std::memset(pm.DataRun(first, 0, path.frames * kPage).data(), 0xFF, path.frames * kPage);
+    }
+  }
+}
+
+TEST(PhysMemoryTest, ReusedFramesKeepResidueOnEveryPlainAllocationPath) {
+  for (const AllocationPath& path : kAllocationPaths) {
+    if (std::string_view(path.name) == "AllocateZeroed") {
+      continue;  // Clears residue by contract.
+    }
+    PhysicalMemory pm(8, kPage);
+    const FrameId first = path.allocate(pm);
+    std::memset(pm.DataRun(first, 0, path.frames * kPage).data(), 0xC3, path.frames * kPage);
+    for (std::size_t i = 0; i < path.frames; ++i) {
+      pm.Free(first + static_cast<FrameId>(i));
+    }
+    ASSERT_EQ(path.allocate(pm), first) << path.name;
+    EXPECT_TRUE(AllBytesAre(pm.DataRun(first, 0, path.frames * kPage), 0xC3)) << path.name;
+  }
+}
+
+TEST(PhysMemoryTest, RunStraddlingTheZeroedPrefixKeepsResidueBelowAndZeroAbove) {
+  for (const bool mt : {false, true}) {
+    DirtyHeap(8);
+    PhysicalMemory pm(8, kPage);
+    const FrameId a = pm.Allocate();
+    const FrameId b = pm.Allocate();
+    std::memset(pm.Data(a).data(), 0x11, kPage);
+    std::memset(pm.Data(b).data(), 0x22, kPage);
+    pm.Free(a);
+    pm.Free(b);
+    // Frames 0-1 were used and freed; 2-3 never left the arena.
+    const FrameId run = mt ? pm.TryAllocateRunMt(4) : pm.TryAllocateRun(4);
+    ASSERT_EQ(run, 0u);
+    EXPECT_TRUE(AllBytesAre(pm.Data(0), 0x11)) << "mt " << mt;
+    EXPECT_TRUE(AllBytesAre(pm.Data(1), 0x22)) << "mt " << mt;
+    EXPECT_TRUE(AllBytesAre(pm.DataRun(2, 0, 2 * kPage), 0)) << "mt " << mt;
+  }
+}
+
+TEST(PhysMemoryDeathTest, DataOfANeverAllocatedFrameAborts) {
+  PhysicalMemory pm(4, kPage);
+  const FrameId f = pm.Allocate();
+  pm.Free(f);
+  EXPECT_EQ(pm.Data(f).size(), kPage);  // freed, but zeroed once: readable
+  EXPECT_DEATH(pm.Data(1), "never allocated");
+  EXPECT_DEATH(pm.DataRun(0, 100, kPage), "never allocated");
 }
 
 // Property: alloc/free churn conserves frames (no leaks, no duplication).
